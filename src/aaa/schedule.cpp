@@ -36,6 +36,8 @@ std::size_t Schedule::add_op(ScheduledOp so) {
   if (so.proc >= proc_order_.size()) {
     throw std::out_of_range("add_op: processor out of range");
   }
+  if (so.op >= op_index_.size()) op_index_.resize(so.op + 1, kNone);
+  if (op_index_[so.op] == kNone) op_index_[so.op] = ops_.size();
   ops_.push_back(so);
   insert_by_start(proc_order_[so.proc], ops_, ops_.size() - 1, so.start);
   return ops_.size() - 1;
@@ -53,15 +55,14 @@ std::size_t Schedule::add_comm(ScheduledComm sc) {
 }
 
 const ScheduledOp& Schedule::of_op(OpId id) const {
-  for (const ScheduledOp& so : ops_) {
-    if (so.op == id) return so;
+  if (!has_op(id)) {
+    throw std::out_of_range("Schedule::of_op: operation not scheduled");
   }
-  throw std::out_of_range("Schedule::of_op: operation not scheduled");
+  return ops_[op_index_[id]];
 }
 
 bool Schedule::has_op(OpId id) const {
-  return std::any_of(ops_.begin(), ops_.end(),
-                     [id](const ScheduledOp& so) { return so.op == id; });
+  return id < op_index_.size() && op_index_[id] != kNone;
 }
 
 Time Schedule::makespan() const {

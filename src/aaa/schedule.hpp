@@ -48,7 +48,8 @@ class Schedule {
     return medium_order_.at(m);
   }
 
-  /// Scheduled entry of a given algorithm operation; throws if absent.
+  /// Scheduled entry of a given algorithm operation (its first one if it
+  /// was added twice); throws std::out_of_range if absent. O(1).
   const ScheduledOp& of_op(OpId id) const;
   bool has_op(OpId id) const;
 
@@ -72,6 +73,7 @@ class Schedule {
  private:
   std::vector<ScheduledOp> ops_;
   std::vector<ScheduledComm> comms_;
+  std::vector<std::size_t> op_index_;  // OpId -> index into ops_, or kNone
   std::vector<std::vector<std::size_t>> proc_order_;
   std::vector<std::vector<std::size_t>> medium_order_;
 };

@@ -2,10 +2,45 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <stdexcept>
 #include <sstream>
 
 namespace ecsim::exec {
+
+namespace {
+
+/// Builds ConformanceReport::violations: the deadlock report, the first
+/// kReportedViolations violations, then a count of the rest. A violating
+/// CAN run has thousands of violating instances; formatting them all cost
+/// more than the check itself.
+class ViolationLog {
+ public:
+  ViolationLog(ConformanceReport& rep, const VmResult& vm) : rep_(rep) {
+    if (vm.deadlock) {
+      rep_.ok = false;
+      text_ << "deadlock: " << vm.deadlock_info << "; ";
+    }
+  }
+  /// Records one violation; returns the stream to describe it on, or null
+  /// once enough have been spelled out.
+  std::ostream* add() {
+    rep_.ok = false;
+    return rep_.num_violations++ < kReportedViolations ? &text_ : nullptr;
+  }
+  void finish() {
+    if (rep_.num_violations > kReportedViolations) {
+      text_ << "... and " << rep_.num_violations - kReportedViolations
+            << " more";
+    }
+    rep_.violations = text_.str();
+  }
+
+ private:
+  ConformanceReport& rep_;
+  std::ostringstream text_;
+};
+
+}  // namespace
 
 ConformanceReport check_wcet_conformance(const AlgorithmGraph& alg,
                                          const ArchitectureGraph& arch,
@@ -14,11 +49,7 @@ ConformanceReport check_wcet_conformance(const AlgorithmGraph& alg,
                                          double tol) {
   (void)arch;
   ConformanceReport rep;
-  std::ostringstream bad;
-  if (vm.deadlock) {
-    rep.ok = false;
-    bad << "deadlock: " << vm.deadlock_info << "; ";
-  }
+  ViolationLog log(rep, vm);
   for (const OpInstance& oi : vm.ops) {
     const aaa::ScheduledOp& so = sched.of_op(oi.op);
     const Time expect_start =
@@ -29,13 +60,14 @@ ConformanceReport check_wcet_conformance(const AlgorithmGraph& alg,
     rep.max_time_error = std::max(rep.max_time_error, err);
     ++rep.checked_instances;
     if (err > tol) {
-      rep.ok = false;
-      bad << "op '" << alg.op(oi.op).name << "' iter " << oi.iteration
-          << " at [" << oi.start << "," << oi.end << ") expected ["
-          << expect_start << "," << expect_end << "); ";
+      if (std::ostream* os = log.add()) {
+        *os << "op '" << alg.op(oi.op).name << "' iter " << oi.iteration
+            << " at [" << oi.start << "," << oi.end << ") expected ["
+            << expect_start << "," << expect_end << "); ";
+      }
     }
   }
-  rep.violations = bad.str();
+  log.finish();
   return rep;
 }
 
@@ -44,19 +76,26 @@ ConformanceReport check_order_preservation(const AlgorithmGraph& alg,
                                            const Schedule& sched,
                                            const VmResult& vm, double tol) {
   ConformanceReport rep;
-  std::ostringstream bad;
-  if (vm.deadlock) {
-    rep.ok = false;
-    bad << "deadlock: " << vm.deadlock_info << "; ";
-  }
+  ViolationLog log(rep, vm);
   // Schedule position of each op on its processor.
-  std::map<aaa::OpId, std::pair<ProcId, std::size_t>> position;
+  struct Position {
+    ProcId proc = kNone;
+    std::size_t index = 0;
+  };
+  std::vector<Position> position(alg.num_operations());
   for (ProcId p = 0; p < sched.num_procs(); ++p) {
     const auto& order = sched.ops_on(p);
     for (std::size_t i = 0; i < order.size(); ++i) {
-      position[sched.ops()[order[i]].op] = {p, i};
+      position.at(sched.ops()[order[i]].op) = {p, i};
     }
   }
+  const auto position_of = [&](OpId op) -> const Position& {
+    const Position& pos = position.at(op);
+    if (pos.proc == kNone) {
+      throw std::out_of_range("check_order_preservation: op not scheduled");
+    }
+    return pos;
+  };
   // Group instances per processor, sort by start, verify they appear in
   // (iteration, schedule-position) lexicographic order and do not overlap.
   std::vector<std::vector<OpInstance>> per_proc(arch.num_processors());
@@ -69,30 +108,34 @@ ConformanceReport check_order_preservation(const AlgorithmGraph& alg,
     });
     for (std::size_t i = 0; i < v.size(); ++i) {
       ++rep.checked_instances;
-      const auto [proc, pos] = position.at(v[i].op);
-      if (proc != p) {
-        rep.ok = false;
-        bad << "op '" << alg.op(v[i].op).name << "' ran on wrong processor; ";
+      const Position& pos = position_of(v[i].op);
+      if (pos.proc != p) {
+        if (std::ostream* os = log.add()) {
+          *os << "op '" << alg.op(v[i].op).name
+              << "' ran on wrong processor; ";
+        }
       }
       if (i == 0) continue;
-      const auto [prev_proc, prev_pos] = position.at(v[i - 1].op);
+      const Position& prev = position_of(v[i - 1].op);
       const bool order_ok =
           v[i - 1].iteration < v[i].iteration ||
-          (v[i - 1].iteration == v[i].iteration && prev_pos < pos);
+          (v[i - 1].iteration == v[i].iteration && prev.index < pos.index);
       if (!order_ok) {
-        rep.ok = false;
-        bad << "order violation on processor " << arch.processor(p).name
-            << ": '" << alg.op(v[i - 1].op).name << "' iter "
-            << v[i - 1].iteration << " vs '" << alg.op(v[i].op).name
-            << "' iter " << v[i].iteration << "; ";
+        if (std::ostream* os = log.add()) {
+          *os << "order violation on processor " << arch.processor(p).name
+              << ": '" << alg.op(v[i - 1].op).name << "' iter "
+              << v[i - 1].iteration << " vs '" << alg.op(v[i].op).name
+              << "' iter " << v[i].iteration << "; ";
+        }
       }
       if (v[i].start + tol < v[i - 1].end) {
-        rep.ok = false;
-        bad << "overlap on processor " << arch.processor(p).name << "; ";
+        if (std::ostream* os = log.add()) {
+          *os << "overlap on processor " << arch.processor(p).name << "; ";
+        }
       }
     }
   }
-  rep.violations = bad.str();
+  log.finish();
   return rep;
 }
 
@@ -100,14 +143,14 @@ DeadlineReport check_deadlines(const AlgorithmGraph& alg, const VmResult& vm,
                                Time period) {
   DeadlineReport rep;
   std::ostringstream details;
-  int reported = 0;
+  std::size_t reported = 0;
   for (const OpInstance& oi : vm.ops) {
     ++rep.checked_instances;
     const Time deadline = static_cast<Time>(oi.iteration + 1) * period;
     if (oi.end > deadline + 1e-12) {
       ++rep.misses;
       rep.worst_overrun = std::max(rep.worst_overrun, oi.end - deadline);
-      if (reported < 5) {
+      if (reported < kReportedViolations) {
         details << alg.op(oi.op).name << " iter " << oi.iteration
                 << " finished " << oi.end - deadline << " late; ";
         ++reported;

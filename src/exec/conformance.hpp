@@ -10,9 +10,15 @@
 
 namespace ecsim::exec {
 
+/// Violations a ConformanceReport spells out before it only counts them.
+inline constexpr std::size_t kReportedViolations = 5;
+
 struct ConformanceReport {
   bool ok = true;
-  std::string violations;  // empty when ok
+  /// Empty when ok. A deadlock report, then the first kReportedViolations
+  /// violations and "... and K more" for the rest.
+  std::string violations;
+  std::size_t num_violations = 0;  ///< every violation, reported or not
 
   std::size_t checked_instances = 0;
   /// Max |VM instant - (schedule instant + k*period)| under WCET execution.

@@ -71,6 +71,22 @@ struct Cursor {
   }
 };
 
+/// Arbitration bookkeeping of one CAN medium for its current iteration,
+/// maintained incrementally so a commit never rescans the medium's frames.
+struct CanBus {
+  struct Known {
+    std::size_t slot;  // position in the communicator's comm list
+    Time signal;       // send signal (hop 0) or predecessor-hop delivery
+  };
+  std::vector<std::uint8_t> done;  // per slot: transferred this iteration
+  std::size_t left = 0;            // slots not transferred yet
+  std::vector<Known> known;        // pending frames with a known signal,
+                                   // ascending slot order
+  // Per signal source (processor pi, or P + medium index): pending frames
+  // whose signal is still unknown and which that source could contest.
+  std::vector<std::size_t> unknown;
+};
+
 }  // namespace
 
 VmResult run_executives(const AlgorithmGraph& alg,
@@ -94,10 +110,12 @@ VmResult run_executives(const AlgorithmGraph& alg,
   obs::Counter* c_ops = nullptr;
   obs::Counter* c_comms = nullptr;
   obs::Counter* c_wcet = nullptr;
+  obs::Counter* c_can_examined = nullptr;
   if (opts.metrics != nullptr) {
     c_ops = &opts.metrics->counter("exec.ops_executed");
     c_comms = &opts.metrics->counter("exec.comms_executed");
     c_wcet = &opts.metrics->counter("exec.wcet_lookups");
+    c_can_examined = &opts.metrics->counter("exec.can_frames_examined");
   }
 
   // Compile step: lower the executives to the IR's schedule section. All
@@ -173,6 +191,119 @@ VmResult run_executives(const AlgorithmGraph& alg,
   // each instance, which happens exactly once.
   auto exec_time = [&](const Operation& op, Time wcet) {
     return opts.exec_time ? opts.exec_time(op, wcet, rng) : wcet;
+  };
+
+  // For multi-hop routes the communicators forward autonomously: hop k > 0
+  // becomes ready when hop k-1 delivered, without the intermediate
+  // processor's sequencer in the path. A (dependency, hop) -> comm table
+  // pairs the hops in time linear in the number of comms.
+  const std::vector<aaa::ScheduledComm>& comms = sched.comms();
+  std::vector<std::size_t> prev_hop(comms.size(), kNone);
+  std::vector<std::size_t> next_hop(comms.size(), kNone);
+  {
+    std::vector<std::vector<std::size_t>> route(alg.dependencies().size());
+    for (std::size_t ci = 0; ci < comms.size(); ++ci) {
+      std::vector<std::size_t>& hops = route[comms[ci].dep_index];
+      const std::size_t h = comms[ci].hop_index;
+      if (hops.size() <= h) hops.resize(h + 1, kNone);
+      if (hops[h] == kNone) hops[h] = ci;
+    }
+    for (std::size_t ci = 0; ci < comms.size(); ++ci) {
+      const std::size_t h = comms[ci].hop_index;
+      if (h == 0) continue;
+      const std::size_t prev = route[comms[ci].dep_index][h - 1];
+      if (prev == kNone) continue;
+      prev_hop[ci] = prev;
+      next_hop[prev] = ci;
+    }
+  }
+  // The instant a frame may compete for its medium: its sender's signal on
+  // the first hop, the predecessor hop's delivery after that.
+  auto signal_of = [&](std::size_t ci, std::size_t iter) {
+    return prev_hop[ci] == kNone ? channels[ci].sent(iter)
+                                 : channels[prev_hop[ci]].delivered(iter);
+  };
+
+  // CAN priority arbitration replaces the static program-order cursor with
+  // dynamic per-iteration selection (advance_can), fed by per-medium
+  // bookkeeping that the signal hooks below keep current.
+  const std::size_t n_procs = sir.executives.size();
+  std::vector<std::uint8_t> is_can(sir.communicators.size(), 0);
+  bool any_can = false;
+  for (std::size_t mi = 0; mi < sir.communicators.size(); ++mi) {
+    if (arch.medium(sir.communicators[mi].medium).arbitration ==
+        aaa::Arbitration::kCanPriority) {
+      is_can[mi] = 1;
+      any_can = true;
+    }
+  }
+  // (communicator index, slot within its comm list) of every comm.
+  std::vector<std::pair<std::size_t, std::size_t>> comm_slot;
+  // Signal source of every comm: the processor owning a hop-0 comm's kSend,
+  // or n_procs + the medium of the predecessor hop. kNone when no source
+  // can contest: a predecessor pending on the comm's own medium delivers
+  // only after a commit there.
+  std::vector<std::size_t> source;
+  std::vector<CanBus> can(sir.communicators.size());
+  // Reset CAN medium `mi` for the iteration its cursor has reached: frames
+  // whose signal already appeared are known, the rest are counted against
+  // their source.
+  auto begin_can_iteration = [&](std::size_t mi) {
+    CanBus& bus = can[mi];
+    const std::vector<std::size_t>& slots = sir.communicators[mi].comms;
+    bus.done.assign(slots.size(), 0);
+    bus.left = slots.size();
+    bus.known.clear();
+    std::fill(bus.unknown.begin(), bus.unknown.end(), 0);
+    const std::size_t iter = medium_cur[mi].iter;
+    if (iter >= iters) return;
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      const std::size_t ci = slots[k];
+      if (const auto signal = signal_of(ci, iter)) {
+        bus.known.push_back({k, *signal});
+      } else if (source[ci] != kNone) {
+        ++bus.unknown[source[ci]];
+      }
+    }
+  };
+  if (any_can) {
+    comm_slot.assign(comms.size(), {kNone, kNone});
+    for (std::size_t mi = 0; mi < sir.communicators.size(); ++mi) {
+      const std::vector<std::size_t>& slots = sir.communicators[mi].comms;
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        comm_slot[slots[k]] = {mi, k};
+      }
+    }
+    source.assign(comms.size(), kNone);
+    for (std::size_t pi = 0; pi < n_procs; ++pi) {
+      for (const ir::InstrIr& ins : sir.executives[pi].instrs) {
+        if (ins.kind == ir::InstrIr::Kind::kSend) source[ins.comm] = pi;
+      }
+    }
+    for (std::size_t ci = 0; ci < comms.size(); ++ci) {
+      if (prev_hop[ci] == kNone) continue;
+      const std::size_t pmi = comm_slot[prev_hop[ci]].first;
+      source[ci] = pmi == comm_slot[ci].first ? kNone : n_procs + pmi;
+    }
+    for (std::size_t mi = 0; mi < sir.communicators.size(); ++mi) {
+      if (is_can[mi] == 0) continue;
+      can[mi].unknown.assign(n_procs + sir.communicators.size(), 0);
+      begin_can_iteration(mi);
+    }
+  }
+  // Signal hook: comm `ci` of iteration `iter` may now compete. Only the
+  // iteration a CAN medium is on is indexed; later ones are picked up by
+  // begin_can_iteration when the medium gets there.
+  auto frame_ready = [&](std::size_t ci, std::size_t iter, Time signal) {
+    if (!any_can) return;
+    const auto [mi, k] = comm_slot[ci];
+    if (is_can[mi] == 0 || medium_cur[mi].iter != iter) return;
+    CanBus& bus = can[mi];
+    const auto pos = std::lower_bound(
+        bus.known.begin(), bus.known.end(), k,
+        [](const CanBus::Known& f, std::size_t slot) { return f.slot < slot; });
+    bus.known.insert(pos, {k, signal});
+    if (source[ci] != kNone) --bus.unknown[source[ci]];
   };
 
   auto advance_proc = [&](std::size_t pi) -> bool {
@@ -254,7 +385,9 @@ VmResult run_executives(const AlgorithmGraph& alg,
       case ir::InstrIr::Kind::kSend:
         // Under kSkipCycle the send still fires (with the stale buffer) so
         // downstream processors and communicators never deadlock on it.
+        // Only first hops carry a kSend.
         channels[ins.comm].mark_sent(cur.iter, cur.t);
+        frame_ready(ins.comm, cur.iter, cur.t);
         break;
       case ir::InstrIr::Kind::kRecv: {
         const auto delivered = channels[ins.comm].delivered(cur.iter);
@@ -292,23 +425,6 @@ VmResult run_executives(const AlgorithmGraph& alg,
     }
     return true;
   };
-
-  // For multi-hop routes the communicators forward autonomously: hop k > 0
-  // becomes ready when hop k-1 delivered, without the intermediate
-  // processor's sequencer in the path.
-  std::vector<std::size_t> prev_hop(sched.comms().size(), kNone);
-  for (std::size_t ci = 0; ci < sched.comms().size(); ++ci) {
-    const aaa::ScheduledComm& sc = sched.comms()[ci];
-    if (sc.hop_index == 0) continue;
-    for (std::size_t cj = 0; cj < sched.comms().size(); ++cj) {
-      const aaa::ScheduledComm& other = sched.comms()[cj];
-      if (other.dep_index == sc.dep_index &&
-          other.hop_index + 1 == sc.hop_index) {
-        prev_hop[ci] = cj;
-        break;
-      }
-    }
-  }
 
   // Occupy medium `mi` with comm `ci`, whose send signal is known at time
   // `signal`: resolves the start instant under the medium's arbitration
@@ -371,6 +487,7 @@ VmResult run_executives(const AlgorithmGraph& alg,
         }
       }
       channels[ci].mark_delivered(cur.iter, delivery);
+      if (next_hop[ci] != kNone) frame_ready(next_hop[ci], cur.iter, delivery);
     }
     result.comms.push_back(CommInstance{ci, cur.iter, start, end});
     if (tracing) {
@@ -382,152 +499,104 @@ VmResult run_executives(const AlgorithmGraph& alg,
     cur.t = end;
   };
 
-  // CAN priority arbitration replaces the static program-order cursor with
-  // dynamic per-iteration selection. Precomputed cross-references let the
-  // arbitration reason about senders that have not signalled yet.
-  const bool any_can = [&] {
-    for (const ir::CommunicatorIr& c : sir.communicators) {
-      if (arch.medium(c.medium).arbitration ==
-          aaa::Arbitration::kCanPriority) {
-        return true;
-      }
-    }
-    return false;
-  }();
-  // Processor program that owns each comm's kSend (hop-0 comms only).
-  std::vector<std::size_t> send_proc;
-  // (communicator index, slot within its comm list) of every comm.
-  std::vector<std::pair<std::size_t, std::size_t>> comm_slot;
-  // Per CAN medium: which slots already transferred in the current
-  // iteration, and how many remain.
-  std::vector<std::vector<std::uint8_t>> can_done(sir.communicators.size());
-  std::vector<std::size_t> can_left(sir.communicators.size(), 0);
-  if (any_can) {
-    send_proc.assign(sched.comms().size(), kNone);
-    for (std::size_t pi = 0; pi < sir.executives.size(); ++pi) {
-      for (const ir::InstrIr& ins : sir.executives[pi].instrs) {
-        if (ins.kind == ir::InstrIr::Kind::kSend) send_proc[ins.comm] = pi;
-      }
-    }
-    comm_slot.assign(sched.comms().size(), {kNone, kNone});
-    for (std::size_t mi = 0; mi < sir.communicators.size(); ++mi) {
-      const auto& comms = sir.communicators[mi].comms;
-      for (std::size_t k = 0; k < comms.size(); ++k) {
-        comm_slot[comms[k]] = {mi, k};
-      }
-      if (arch.medium(sir.communicators[mi].medium).arbitration ==
-          aaa::Arbitration::kCanPriority) {
-        can_done[mi].assign(comms.size(), 0);
-        can_left[mi] = comms.size();
-      }
-    }
-  }
   constexpr Time kArbEps = 1e-12;
 
   // One arbitration round on CAN medium `mi`: among the pending frames whose
-  // send signal is known, the earliest-ready one wins the bus, ties resolved
-  // by message priority then comm index (CAN identifier order). The commit
-  // is deferred while a frame with an unknown signal could still become
-  // ready no later than the chosen start — unless its sender provably cannot
-  // contest (it is blocked on a reception that is itself pending on this
-  // medium, so its send follows a delivery we have not made yet). `force`
-  // (used only at global quiescence, when no signal can appear without the
-  // bus moving) commits the winner regardless. Both paths are driven by the
+  // signal is known, the earliest-ready one wins the bus, ties resolved by
+  // message priority then comm index (CAN identifier order), scanning the
+  // known frames in slot order. The commit is deferred while a frame with an
+  // unknown signal could still become ready no later than the chosen start
+  // — unless its source provably cannot contest (a sender blocked on a
+  // reception that is itself pending on this medium, so its send follows a
+  // delivery we have not made yet). That test depends only on the source,
+  // so it runs once per source with unknown frames pending. `force` (used
+  // only at global quiescence, when no signal can appear without the bus
+  // moving) commits the winner regardless. Both paths are driven by the
   // same fixed sweep order, so arbitration outcomes are pure functions of
-  // (model, seed, scenario).
+  // (model, seed, scenario). Cost per call: the known frames plus one test
+  // per processor and medium — a fault plan adds one scan of the medium.
   auto advance_can = [&](std::size_t mi, bool force) -> bool {
     Cursor& cur = medium_cur[mi];
     const ir::CommunicatorIr& prog = sir.communicators[mi];
     if (cur.done(prog.comms.size(), iters)) return false;
+    CanBus& bus = can[mi];
     auto finish_slot = [&](std::size_t k) {
-      can_done[mi][k] = 1;
-      cur.pc = prog.comms.size() - --can_left[mi];
-      if (can_left[mi] == 0) {
-        std::fill(can_done[mi].begin(), can_done[mi].end(), 0);
-        can_left[mi] = prog.comms.size();
+      bus.done[k] = 1;
+      cur.pc = prog.comms.size() - --bus.left;
+      if (bus.left == 0) {
         cur.pc = 0;
         ++cur.iter;
+        begin_can_iteration(mi);
       }
     };
-    // Lost predecessor hops propagate without occupying the bus.
-    for (std::size_t k = 0; k < prog.comms.size(); ++k) {
-      if (can_done[mi][k] != 0) continue;
-      const std::size_t ci = prog.comms[k];
-      if (prev_hop[ci] == kNone) continue;
-      if (channels[prev_hop[ci]].delivered(cur.iter)) continue;
-      const auto prev_lost = channels[prev_hop[ci]].lost(cur.iter);
-      if (!prev_lost) continue;
-      channels[ci].mark_lost(cur.iter, *prev_lost);
-      finish_slot(k);
-      return true;
+    // Lost predecessor hops propagate without occupying the bus. Only a
+    // fault plan loses frames.
+    if (faulting) {
+      if (c_can_examined != nullptr) c_can_examined->add(prog.comms.size());
+      for (std::size_t k = 0; k < prog.comms.size(); ++k) {
+        if (bus.done[k] != 0) continue;
+        const std::size_t ci = prog.comms[k];
+        if (prev_hop[ci] == kNone) continue;
+        if (channels[prev_hop[ci]].delivered(cur.iter)) continue;
+        const auto prev_lost = channels[prev_hop[ci]].lost(cur.iter);
+        if (!prev_lost) continue;
+        channels[ci].mark_lost(cur.iter, *prev_lost);
+        if (source[ci] != kNone) --bus.unknown[source[ci]];
+        finish_slot(k);
+        return true;
+      }
     }
     // Arbitration among the frames whose signal is known. Ranking uses the
     // same effective start transmit() will resolve — including the
     // worst-case background-blocking charge, a constant shift that never
     // reorders candidates.
-    const Time blocking =
-        arch.medium(prog.medium).arbitration == aaa::Arbitration::kCanPriority
-            ? arch.medium(prog.medium).can_blocking
-            : 0.0;
+    if (c_can_examined != nullptr) c_can_examined->add(bus.known.size());
+    const Time blocking = arch.medium(prog.medium).can_blocking;
     std::size_t best = kNone;
-    std::size_t best_slot = kNone;
+    std::size_t best_pos = kNone;
     std::size_t best_prio = 0;
     Time best_start = 0.0;
     Time best_signal = 0.0;
-    for (std::size_t k = 0; k < prog.comms.size(); ++k) {
-      if (can_done[mi][k] != 0) continue;
-      const std::size_t ci = prog.comms[k];
-      const auto signal = prev_hop[ci] == kNone
-                              ? channels[ci].sent(cur.iter)
-                              : channels[prev_hop[ci]].delivered(cur.iter);
-      if (!signal) continue;
-      const Time start = std::max(cur.t, *signal + blocking);
-      const std::size_t prio = alg.dep_priority(sched.comms()[ci].dep_index);
+    for (std::size_t j = 0; j < bus.known.size(); ++j) {
+      const std::size_t ci = prog.comms[bus.known[j].slot];
+      const Time signal = bus.known[j].signal;
+      const Time start = std::max(cur.t, signal + blocking);
+      const std::size_t prio = alg.dep_priority(comms[ci].dep_index);
       if (best == kNone || start < best_start - kArbEps ||
           (start <= best_start + kArbEps &&
            (prio < best_prio || (prio == best_prio && ci < best)))) {
         best = ci;
-        best_slot = k;
+        best_pos = j;
         best_prio = prio;
         best_start = start;
-        best_signal = *signal;
+        best_signal = signal;
       }
     }
     if (best == kNone) return false;
     if (!force) {
-      for (std::size_t k = 0; k < prog.comms.size(); ++k) {
-        if (can_done[mi][k] != 0) continue;
-        const std::size_t ci = prog.comms[k];
-        if (ci == best) continue;
-        const auto signal = prev_hop[ci] == kNone
-                                ? channels[ci].sent(cur.iter)
-                                : channels[prev_hop[ci]].delivered(cur.iter);
-        if (signal) continue;  // known candidate: it lost the arbitration
+      for (std::size_t src = 0; src < bus.unknown.size(); ++src) {
+        if (bus.unknown[src] == 0) continue;
         Time bound;
-        if (prev_hop[ci] != kNone) {
-          // Predecessor hop pending on this very medium delivers only after
-          // a commit we have not made — it cannot contest.
-          const std::size_t pmi = comm_slot[prev_hop[ci]].first;
-          if (pmi == mi) continue;
-          bound = medium_cur[pmi].t;
-        } else {
-          const std::size_t pi = send_proc[ci];
-          if (pi == kNone) continue;
-          const Cursor& sender = proc_cur[pi];
-          if (sender.done(sir.executives[pi].instrs.size(), iters)) continue;
-          const ir::InstrIr& ins = sir.executives[pi].instrs[sender.pc];
+        if (src < n_procs) {
+          const Cursor& sender = proc_cur[src];
+          if (sender.done(sir.executives[src].instrs.size(), iters)) continue;
+          const ir::InstrIr& ins = sir.executives[src].instrs[sender.pc];
           if (ins.kind == ir::InstrIr::Kind::kRecv &&
               comm_slot[ins.comm].first == mi && sender.iter == cur.iter &&
-              can_done[mi][comm_slot[ins.comm].second] == 0 &&
+              bus.done[comm_slot[ins.comm].second] == 0 &&
               !channels[ins.comm].delivered(sender.iter) &&
               !channels[ins.comm].lost(sender.iter)) {
             continue;  // blocked on a frame this bus has yet to deliver
           }
           bound = sender.t;
+        } else {
+          bound = medium_cur[src - n_procs].t;
         }
         if (bound <= best_start + kArbEps) return false;  // could contest
       }
     }
+    const std::size_t best_slot = bus.known[best_pos].slot;
+    bus.known.erase(bus.known.begin() + static_cast<std::ptrdiff_t>(best_pos));
     transmit(mi, best, best_signal);
     finish_slot(best_slot);
     return true;
@@ -536,10 +605,7 @@ VmResult run_executives(const AlgorithmGraph& alg,
   auto advance_medium = [&](std::size_t mi) -> bool {
     Cursor& cur = medium_cur[mi];
     const ir::CommunicatorIr& prog = sir.communicators[mi];
-    if (arch.medium(prog.medium).arbitration ==
-        aaa::Arbitration::kCanPriority) {
-      return advance_can(mi, /*force=*/false);
-    }
+    if (is_can[mi] != 0) return advance_can(mi, /*force=*/false);
     if (cur.done(prog.comms.size(), iters)) return false;
     const std::size_t ci = prog.comms[cur.pc];
     auto sent = channels[ci].sent(cur.iter);
@@ -582,9 +648,7 @@ VmResult run_executives(const AlgorithmGraph& alg,
       // bus moving has appeared, so a deferred arbitration decision is now
       // final — force the winner on the first stalled CAN medium.
       for (std::size_t mi = 0; mi < code.communicators.size(); ++mi) {
-        if (arch.medium(sir.communicators[mi].medium).arbitration ==
-                aaa::Arbitration::kCanPriority &&
-            advance_can(mi, /*force=*/true)) {
+        if (is_can[mi] != 0 && advance_can(mi, /*force=*/true)) {
           progress = true;
           break;
         }

@@ -84,5 +84,77 @@ TEST(Conformance, FlagsTimeMismatchWhenFasterThanWcet) {
   EXPECT_GT(rep.max_time_error, 0.0);
 }
 
+/// A run where every instance misses its schedule instant: the report
+/// spells out only the first few and counts the rest, so its length does
+/// not grow with the run while ok/max_time_error/checked_instances still
+/// cover every instance.
+TEST(Conformance, ManyViolationsAreCountedNotAllSpelledOut) {
+  DistributedChain f;
+  VmOptions opts;
+  opts.period = f.alg.period();
+  for (const std::size_t iterations : {10u, 1000u}) {
+    opts.iterations = iterations;
+    VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
+    for (OpInstance& oi : vm.ops) {
+      oi.start += 1e-3;
+      oi.end += 1e-3;
+    }
+    const ConformanceReport rep =
+        check_wcet_conformance(f.alg, f.arch, f.sched, vm, opts.period);
+    const std::size_t n = 3 * iterations;
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.checked_instances, n);
+    EXPECT_EQ(rep.num_violations, n);
+    EXPECT_NEAR(rep.max_time_error, 1e-3, 1e-12);
+    EXPECT_LT(rep.violations.size(), 120 * (kReportedViolations + 1));
+    EXPECT_NE(rep.violations.find("... and " +
+                                  std::to_string(n - kReportedViolations) +
+                                  " more"),
+              std::string::npos)
+        << rep.violations;
+  }
+}
+
+TEST(Conformance, ManyOrderViolationsAreCountedNotAllSpelledOut) {
+  DistributedChain f;
+  VmOptions opts;
+  opts.iterations = 500;
+  opts.period = f.alg.period();
+  VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
+  // Every instance on P1 (ctrl) claims to run on P0, where it overlaps
+  // nothing but breaks the wrong-processor rule once per instance.
+  std::size_t moved = 0;
+  for (OpInstance& oi : vm.ops) {
+    if (oi.proc == 1) {
+      oi.proc = 0;
+      ++moved;
+    }
+  }
+  const ConformanceReport rep =
+      check_order_preservation(f.alg, f.arch, f.sched, vm);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.checked_instances, vm.ops.size());
+  EXPECT_GE(rep.num_violations, moved);
+  EXPECT_LT(rep.violations.size(), 200 * (kReportedViolations + 1));
+  EXPECT_NE(rep.violations.find(
+                "... and " +
+                std::to_string(rep.num_violations - kReportedViolations) +
+                " more"),
+            std::string::npos);
+}
+
+TEST(Conformance, UnscheduledOpStillThrows) {
+  DistributedChain f;
+  VmOptions opts;
+  opts.period = f.alg.period();
+  VmResult vm = run_executives(f.alg, f.arch, f.sched, f.code, opts);
+  vm.ops.front().op = f.alg.num_operations();  // never scheduled
+  EXPECT_THROW(
+      check_wcet_conformance(f.alg, f.arch, f.sched, vm, opts.period),
+      std::out_of_range);
+  EXPECT_THROW(check_order_preservation(f.alg, f.arch, f.sched, vm),
+               std::out_of_range);
+}
+
 }  // namespace
 }  // namespace ecsim::exec

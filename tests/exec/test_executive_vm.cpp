@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "aaa/adequation.hpp"
+#include "obs/metrics.hpp"
 
 namespace ecsim::exec {
 namespace {
@@ -162,6 +163,76 @@ TEST(ExecutiveVm, DetectsDeadlockInCorruptedCode) {
   const VmResult vm = run_executives(f.alg, f.arch, f.sched, bad, opts);
   EXPECT_TRUE(vm.deadlock);
   EXPECT_FALSE(vm.deadlock_info.empty());
+}
+
+/// A pipeline `layers` deep and three operations wide on three processors
+/// sharing one CAN bus: every operation reads two operations of the layer
+/// before, which ran on another processor, so the bus carries six frames per
+/// layer while only a handful are ever pending at once.
+struct CanPipeline {
+  AlgorithmGraph alg{"can_pipeline", 1.0};
+  ArchitectureGraph arch{ArchitectureGraph::bus_architecture(3, 1e5, 0.0)};
+  Schedule sched{0, 0};
+  GeneratedCode code;
+
+  explicit CanPipeline(std::size_t layers) {
+    constexpr std::size_t kWidth = 3;
+    arch.set_can(0, 1e-4);
+    std::vector<aaa::OpId> prev;
+    for (std::size_t l = 0; l < layers; ++l) {
+      const aaa::OpKind kind = l == 0 ? aaa::OpKind::kSensor
+                               : l + 1 == layers ? aaa::OpKind::kActuator
+                                                 : aaa::OpKind::kCompute;
+      std::vector<aaa::OpId> cur;
+      for (std::size_t i = 0; i < kWidth; ++i) {
+        std::string name = "o";
+        name += std::to_string(l * kWidth + i);
+        cur.push_back(alg.add_simple(name, kind, 1e-4 * (1 + (l + i) % 4),
+                                     "P" + std::to_string(l % 3)));
+        if (l == 0) continue;
+        alg.add_dependency(prev[i], cur.back(), 8.0);
+        alg.add_dependency(prev[(i + 1) % kWidth], cur.back(), 4.0);
+      }
+      prev = std::move(cur);
+    }
+    sched = aaa::adequate(alg, arch);
+    code = aaa::generate_executives(alg, arch, sched);
+  }
+
+  /// Frames examined per committed CAN frame over a WCET run and a
+  /// random-times run.
+  double frames_examined_per_commit() const {
+    obs::MetricsRegistry metrics;
+    VmOptions opts;
+    opts.iterations = 10;
+    opts.period = sched.makespan();
+    opts.metrics = &metrics;
+    EXPECT_FALSE(run_executives(alg, arch, sched, code, opts).deadlock);
+    opts.exec_time = uniform_fraction_exec_time(0.3);
+    EXPECT_FALSE(run_executives(alg, arch, sched, code, opts).deadlock);
+    return static_cast<double>(
+               metrics.counter("exec.can_frames_examined").value()) /
+           static_cast<double>(metrics.counter("exec.comms_executed").value());
+  }
+};
+
+/// Deterministic complexity guard for CAN arbitration: the frames an
+/// arbitration round looks at are the pending frames whose signal is known,
+/// not every frame on the bus, so the per-commit average stays flat when
+/// the bus carries four times as many frames. Counters, not time: the
+/// assertion cannot flake.
+TEST(ExecutiveVm, CanArbitrationCostDoesNotGrowWithFramesOnTheBus) {
+  const CanPipeline small(9);   // 48 frames per iteration
+  const CanPipeline large(34);  // 198 frames per iteration
+  ASSERT_EQ(small.sched.comms().size(), 48u);
+  ASSERT_EQ(large.sched.comms().size(), 198u);
+  const double per_commit_small = small.frames_examined_per_commit();
+  const double per_commit_large = large.frames_examined_per_commit();
+  EXPECT_GT(per_commit_small, 0.0);
+  EXPECT_LT(per_commit_large, 1.25 * per_commit_small + 1.0)
+      << "small " << per_commit_small << ", large " << per_commit_large;
+  // A rescan of the bus would examine at least all 198 frames per commit.
+  EXPECT_LT(per_commit_large, 20.0);
 }
 
 }  // namespace
