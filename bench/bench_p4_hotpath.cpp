@@ -1,232 +1,152 @@
 // EXP-P4: zero-allocation steady-state hot path (DESIGN.md §3.4). Measures
-// the PR-4 optimisation — integrator workspaces + function_ref dispatch,
-// flat 4-ary event queue with batched tie draining, preallocated block/
-// matrix scratch — against the pre-change allocating path kept alive inside
-// this binary behind SimOptions::legacy_integrator_alloc /
-// legacy_event_queue. Same compiled model, same binary, interleaved
-// repetitions, so the A/B is apples-to-apples.
+// the interpreter's hot path — integrator workspace + function_ref
+// dispatch, flat 4-ary event queue drained instant by instant, same-instant
+// lane, preallocated block/matrix scratch — on the 200-chain event workload
+// and the RK4 servo loop: best-of-7 events/s on a warmed Simulator, plus the
+// heap allocations of one steady-state run (counted under
+// -DECSIM_ALLOC_GUARD=ON).
 //
-// GUARD: the 200-chain event workload (the EXP-P1 scenario) must run
-// >= 1.25x the legacy events/s. The guard runs via `ctest -C bench`
-// (bench_p4_hotpath_guard); the process exits nonzero on failure.
+// GUARD: chains_200 events/s must not fall more than `ledger diff`'s 10 %
+// below the committed BENCH_p4.json figure (obs::diff_latest_against_bench,
+// the check `ecsim_flow ledger diff --bench=BENCH_p4.json` runs). The
+// committed figure is read before this run rewrites BENCH_p4.json, so a
+// re-record from the repository root is gated against the previous record.
+// The guard runs via `ctest -C bench` (bench_p4_hotpath_guard); the process
+// exits nonzero on failure.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "blocks/continuous.hpp"
-#include "blocks/discrete.hpp"
-#include "blocks/event_blocks.hpp"
-#include "blocks/math_blocks.hpp"
-#include "blocks/probe.hpp"
-#include "blocks/sample_hold.hpp"
-#include "blocks/sources.hpp"
+#include "blocks/examples.hpp"
+#include "obs/ledger.hpp"
 #include "sim/compiled_model.hpp"
 #include "sim/simulator.hpp"
+
+#ifndef ECSIM_COMMITTED_BENCH_P4
+#define ECSIM_COMMITTED_BENCH_P4 "BENCH_p4.json"
+#endif
 
 using namespace ecsim;
 
 namespace {
 
-/// The EXP-P1/EXP-P4 event workload: one clock fanning out to `chains`
-/// delay chains (clock -> d1 -> d2 -> counter), 1 ms tick. Large
-/// simultaneous batches, no continuous state: isolates queue + dispatch.
-sim::Model make_chains(std::size_t chains) {
-  sim::Model m;
-  auto& clk = m.add<blocks::Clock>("clk", 1e-3);
-  for (std::size_t c = 0; c < chains; ++c) {
-    auto& d1 = m.add<blocks::EventDelay>("d1_" + std::to_string(c), 1e-4);
-    auto& d2 = m.add<blocks::EventDelay>("d2_" + std::to_string(c), 2e-4);
-    auto& n = m.add<blocks::EventCounter>("n_" + std::to_string(c));
-    m.connect_event(clk, 0, d1, d1.event_in());
-    m.connect_event(d1, d1.event_out(), d2, d2.event_in());
-    m.connect_event(d2, d2.event_out(), n, 0);
-  }
-  return m;
-}
-
-/// Sampled-data servo loop (continuous plant + S/H + discrete controller +
-/// probe): integration-dominated, exercises the workspace/function_ref path
-/// and the trace signal pool.
-sim::Model make_servo() {
-  sim::Model m;
-  auto& plant = m.add<blocks::StateSpaceCont>(
-      "plant", math::Matrix{{0.0, 1.0}, {-4.0, -1.2}},
-      math::Matrix{{0.0}, {4.0}}, math::Matrix{{1.0, 0.0}},
-      math::Matrix{{0.0}});
-  auto& ref = m.add<blocks::Step>("ref", 0.0, 1.0, 0.0);
-  auto& sense = m.add<blocks::SampleHold>("sense", 1);
-  m.connect(plant, 0, sense, 0);
-  auto& err = m.add<blocks::Sum>("err", std::vector<double>{1.0, -1.0}, 1);
-  m.connect(ref, 0, err, 0);
-  m.connect(sense, 0, err, 1);
-  auto& ctrl = m.add<blocks::StateSpaceDisc>(
-      "ctrl", math::Matrix{{1.0}}, math::Matrix{{0.02}}, math::Matrix{{1.0}},
-      math::Matrix{{1.8}});
-  m.connect(err, 0, ctrl, 0);
-  auto& act = m.add<blocks::SampleHold>("act", 1);
-  m.connect(ctrl, 0, act, 0);
-  m.connect(act, 0, plant, 0);
-  auto& probe_y = m.add<blocks::Probe>("probe_y", 1, 1e-3);
-  m.connect(plant, 0, probe_y, 0);
-  auto& clock = m.add<blocks::Clock>("clock", 1e-3);
-  m.connect_event(clock, clock.event_out(), sense, sense.event_in());
-  m.connect_event(sense, sense.done_event_out(), ctrl, ctrl.event_in());
-  m.connect_event(ctrl, ctrl.done_event_out(), act, act.event_in());
-  return m;
-}
-
-struct ModeStats {
+struct HotStats {
   std::size_t events = 0;
   double best_events_per_s = 0.0;
   std::size_t allocs_steady = 0;  // one post-warm-up run, ECSIM_ALLOC_GUARD
 };
 
-double timed_events_per_s(sim::Simulator& s) {
-  const auto t0 = std::chrono::steady_clock::now();
+/// Best-of-`reps` events/s of a warmed Simulator, plus the allocations of
+/// one steady-state run.
+HotStats measure(sim::Model& m, const sim::SimOptions& opts, int reps) {
+  sim::Simulator s(sim::CompiledModel(m), opts);
   s.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  return static_cast<double>(s.events_dispatched()) / secs;
-}
-
-/// Best-of-`reps`, strictly interleaved (legacy, hot, legacy, hot, ...) so
-/// thermal/frequency drift hits both modes equally. Both simulators share
-/// one compiled model; each gets a warm-up run before timing.
-void ab_compare(const sim::CompiledModel& compiled, const sim::SimOptions& base,
-                int reps, ModeStats& legacy, ModeStats& hot,
-                bool& traces_identical) {
-  sim::SimOptions legacy_opts = base;
-  legacy_opts.legacy_integrator_alloc = true;
-  legacy_opts.legacy_event_queue = true;
-  sim::Simulator sl(compiled, legacy_opts);
-  sim::Simulator sh(compiled, base);
-
-  sl.run();
-  const sim::Trace hot_trace = sh.run();  // copy for the A/B check below
-  traces_identical = sl.trace() == hot_trace;
-  legacy.events = sl.events_dispatched();
-  hot.events = sh.events_dispatched();
+  HotStats st;
+  st.events = s.events_dispatched();
   {
     testing::AllocProbe probe;
-    sl.run();
-    legacy.allocs_steady = probe.allocations();
-  }
-  {
-    testing::AllocProbe probe;
-    sh.run();
-    hot.allocs_steady = probe.allocations();
+    s.run();
+    st.allocs_steady = probe.allocations();
   }
   for (int r = 0; r < reps; ++r) {
-    legacy.best_events_per_s =
-        std::max(legacy.best_events_per_s, timed_events_per_s(sl));
-    hot.best_events_per_s =
-        std::max(hot.best_events_per_s, timed_events_per_s(sh));
+    const auto t0 = std::chrono::steady_clock::now();
+    s.run();
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    st.best_events_per_s =
+        std::max(st.best_events_per_s,
+                 static_cast<double>(s.events_dispatched()) / secs);
   }
+  return st;
 }
 
-void report_mode(bench::JsonReport& report, const char* scenario,
-                 const char* mode, const ModeStats& s) {
-  report.begin_object();
-  report.field("scenario", std::string(scenario));
-  report.field("mode", std::string(mode));
-  report.field("events", s.events);
-  report.field("best_events_per_s", s.best_events_per_s);
-  report.field("allocs_steady_state_run", s.allocs_steady);
-  report.field("allocs_per_event",
-               s.events > 0 ? static_cast<double>(s.allocs_steady) /
-                                  static_cast<double>(s.events)
-                            : 0.0);
-  report.end_object();
+std::string read_file(const char* path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 int experiment() {
+  // Before anything rewrites it: the committed record is the floor.
+  const std::string committed = read_file(ECSIM_COMMITTED_BENCH_P4);
+
   bench::banner("EXP-P4", "(hot-path memory discipline, DESIGN.md §3.4)",
-                "Steady-state throughput: workspace integrator + 4-ary "
-                "batched event queue vs the legacy allocating path, A/B in "
-                "one binary.");
+                "Steady-state interpreter throughput: workspace integrator, "
+                "4-ary event queue, same-instant lane.");
+  sim::Model chains = blocks::examples::make_chains(200);
+  sim::Model servo = blocks::examples::make_servo();
+  const std::string chains_hash =
+      ir::hash_hex(sim::build_ir(chains, "chains_200"));
   bench::JsonReport report("EXP-P4");
-  {
-    sim::Model chains = make_chains(200);
-    report.model_ir_hash("chains_200", chains);
-    sim::Model servo = make_servo();
-    report.model_ir_hash("servo_rk4", servo);
-  }
-  report.begin_array("hot_path");
-  std::printf("%-18s %10s %15s %15s %9s %10s %12s\n", "scenario", "events",
-              "legacy [ev/s]", "hot [ev/s]", "speedup", "traces",
-              "hot allocs");
+  report.model_ir_hash("chains_200", chains_hash);
+  report.model_ir_hash("servo_rk4", servo);
 
   constexpr int kReps = 7;
-  constexpr double kGuard = 1.25;
-  double chains_speedup = 0.0;
-  bool all_identical = true;
+  sim::SimOptions chains_opts;
+  chains_opts.end_time = 1.0;
+  chains_opts.reserve_queue = 1024;
+  const HotStats c = measure(chains, chains_opts, kReps);
+  sim::SimOptions servo_opts;
+  servo_opts.end_time = 5.0;
+  servo_opts.integrator.kind = sim::IntegratorKind::kRk4;
+  servo_opts.integrator.max_step = 2e-4;
+  const HotStats s = measure(servo, servo_opts, kReps);
 
-  {
-    sim::Model m = make_chains(200);
-    const sim::CompiledModel compiled(m);
-    sim::SimOptions opts;
-    opts.end_time = 1.0;
-    opts.reserve_queue = 1024;
-    ModeStats legacy, hot;
-    bool identical = false;
-    ab_compare(compiled, opts, kReps, legacy, hot, identical);
-    all_identical = all_identical && identical;
-    chains_speedup = hot.best_events_per_s / legacy.best_events_per_s;
-    std::printf("%-18s %10zu %15.0f %15.0f %8.2fx %10s %12zu\n",
-                "chains_200", hot.events, legacy.best_events_per_s,
-                hot.best_events_per_s, chains_speedup,
-                identical ? "identical" : "DIVERGED", hot.allocs_steady);
-    report_mode(report, "chains_200", "legacy", legacy);
-    report_mode(report, "chains_200", "hot", hot);
-  }
-  {
-    sim::Model m = make_servo();
-    const sim::CompiledModel compiled(m);
-    sim::SimOptions opts;
-    opts.end_time = 5.0;
-    opts.integrator.kind = sim::IntegratorKind::kRk4;
-    opts.integrator.max_step = 2e-4;
-    ModeStats legacy, hot;
-    bool identical = false;
-    ab_compare(compiled, opts, kReps, legacy, hot, identical);
-    all_identical = all_identical && identical;
-    const double speedup = hot.best_events_per_s / legacy.best_events_per_s;
-    std::printf("%-18s %10zu %15.0f %15.0f %8.2fx %10s %12zu\n",
-                "servo_rk4", hot.events, legacy.best_events_per_s,
-                hot.best_events_per_s, speedup,
-                identical ? "identical" : "DIVERGED", hot.allocs_steady);
-    report_mode(report, "servo_rk4", "legacy", legacy);
-    report_mode(report, "servo_rk4", "hot", hot);
+  std::printf("%-18s %10s %15s %12s\n", "scenario", "events", "hot [ev/s]",
+              "hot allocs");
+  report.begin_array("hot_path");
+  for (const auto& [name, st] :
+       {std::pair<const char*, const HotStats&>{"chains_200", c},
+        std::pair<const char*, const HotStats&>{"servo_rk4", s}}) {
+    std::printf("%-18s %10zu %15.0f %12zu\n", name, st.events,
+                st.best_events_per_s, st.allocs_steady);
+    report.begin_object();
+    report.field("scenario", std::string(name));
+    report.field("mode", std::string("hot"));
+    report.field("events", st.events);
+    report.field("best_events_per_s", st.best_events_per_s);
+    report.field("allocs_steady_state_run", st.allocs_steady);
+    report.end_object();
   }
   report.end_array();
+
+  obs::LedgerRecord rec;
+  rec.ir_hash = chains_hash;
+  rec.model = "chains_200";
+  rec.backend_requested = rec.backend_used = "interp";
+  rec.events = c.events;
+  rec.events_per_s = c.best_events_per_s;
+  obs::Ledger::global().append(rec);
+  const obs::LedgerDiff d =
+      obs::diff_latest_against_bench({rec}, committed, "chains_200");
+  const bool pass = d.comparable && !d.regression;
+
   report.begin_array("guard");
   report.begin_object();
   report.field("scenario", std::string("chains_200"));
-  report.field("min_speedup", kGuard);
-  report.field("measured_speedup", chains_speedup);
-  report.field("traces_identical", std::string(all_identical ? "yes" : "NO"));
-  report.field("pass",
-               std::string(chains_speedup >= kGuard && all_identical ? "yes"
-                                                                     : "NO"));
+  report.field("committed_events_per_s", d.committed_events_per_s);
+  report.field("measured_events_per_s", c.best_events_per_s);
+  report.field("max_drop_pct", d.threshold_pct);
+  report.field("pass", std::string(pass ? "yes" : "NO"));
   report.end_object();
   report.end_array();
-  std::printf("\nguard: chains_200 speedup %.2fx (need >= %.2fx) — %s\n\n",
-              chains_speedup, kGuard,
-              chains_speedup >= kGuard && all_identical ? "PASS" : "FAIL");
+  std::printf("\nguard (%s): %s — %s\n\n", ECSIM_COMMITTED_BENCH_P4,
+              d.message.c_str(), pass ? "PASS" : "FAIL");
   report.write("BENCH_p4.json");
-  return chains_speedup >= kGuard && all_identical ? 0 : 1;
+  return pass ? 0 : 1;
 }
 
 void BM_SteadyStateRun(benchmark::State& state) {
-  const bool legacy = state.range(0) != 0;
-  sim::Model m = make_chains(static_cast<std::size_t>(state.range(1)));
+  sim::Model m =
+      blocks::examples::make_chains(static_cast<std::size_t>(state.range(0)));
   sim::SimOptions opts;
   opts.end_time = 1.0;
-  opts.legacy_integrator_alloc = legacy;
-  opts.legacy_event_queue = legacy;
   sim::Simulator s(sim::CompiledModel(m), opts);
   s.run();  // warm capacities out of the measurement
   for (auto _ : state) {
@@ -237,16 +157,14 @@ void BM_SteadyStateRun(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SteadyStateRun)
-    ->ArgsProduct({{0, 1}, {16, 200}})
-    ->ArgNames({"legacy", "chains"})
+    ->Arg(16)
+    ->Arg(200)
+    ->ArgName("chains")
     ->Unit(benchmark::kMillisecond);
 
 void BM_EventQueuePushPop(benchmark::State& state) {
-  const auto impl = state.range(0) == 0 ? sim::EventQueue::Impl::kQuad
-                                        : sim::EventQueue::Impl::kLegacyBinary;
-  const auto depth = static_cast<std::size_t>(state.range(1));
+  const auto depth = static_cast<std::size_t>(state.range(0));
   sim::EventQueue q;
-  q.set_impl(impl);
   q.reserve(depth);
   // Steady churn at constant depth: push a scattered time, pop the min.
   std::uint64_t s = 0x2545f4914f6cdd1dull;
@@ -261,9 +179,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     benchmark::DoNotOptimize(q.pop());
   }
 }
-BENCHMARK(BM_EventQueuePushPop)
-    ->ArgsProduct({{0, 1}, {64, 4096}})
-    ->ArgNames({"legacy", "depth"});
+BENCHMARK(BM_EventQueuePushPop)->Arg(64)->Arg(4096)->ArgName("depth");
 
 }  // namespace
 

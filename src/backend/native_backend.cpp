@@ -72,6 +72,7 @@ std::string tool_fingerprint(const std::string& cxx, const std::string& flags,
   const fs::path inc = ECSIM_NATIVE_INCLUDE_DIR;
   h = stamp_file(inc / "backend" / "native_runtime.hpp", h);
   h = stamp_file(inc / "backend" / "native_abi.hpp", h);
+  h = stamp_file(inc / "sim" / "hybrid_loop.hpp", h);
   char buf[32];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h));

@@ -276,7 +276,7 @@ void Emitter::emit_block(std::size_t i) {
   if (k == "NoiseHold") {
     init_ += "    a[" + out_off(0) + "] = " + lit(real_of(b, "mean")) + ";\n";
     case_open(event_);
-    event_ += "        a[" + out_off(0) + "] = e.rng().normal(" +
+    event_ += "        a[" + out_off(0) + "] = e.rng.normal(" +
               lit(real_of(b, "mean")) + ", " + lit(real_of(b, "stddev")) +
               ");\n";
     event_ += "        e.emit(" + B + ", 0, 0.0);\n";
@@ -362,14 +362,14 @@ void Emitter::emit_block(std::size_t i) {
     const std::vector<double>& x0 = vec_of(b, "x0");
     const std::size_t n = b.state_size;
     const std::string S = lit(lay_.state_offset[i]);
-    init_ += "    { double* x = e.state_mut(" + S + ");\n";
+    init_ += "    { double* x = e.x.data() + " + S + ";\n";
     for (std::size_t j = 0; j < n; ++j) {
       init_ += "      x[" + lit(j) + "] = " + lit(x0[j]) + ";\n";
     }
     init_ += "    }\n    compute(e, " + B + ");\n";
     case_open(compute_);
-    compute_ += "        const double* x = e.state(" + S +
-                "); double* y = a + " + out_off(0) + ";\n";
+    compute_ += "        const double* x = e.active_x + " + S +
+                "; double* y = a + " + out_off(0) + ";\n";
     compute_ += "        for (std::size_t k = 0; k < " + lit(n) +
                 "; ++k) y[k] = x[k];\n";
     case_close(compute_);
@@ -389,7 +389,7 @@ void Emitter::emit_block(std::size_t i) {
     const std::size_t n = b.state_size;
     const std::string S = lit(lay_.state_offset[i]);
     if (x0.size() != n) bad(b, "x0 size mismatch");
-    init_ += "    { double* x = e.state_mut(" + S + ");\n";
+    init_ += "    { double* x = e.x.data() + " + S + ";\n";
     for (std::size_t j = 0; j < n; ++j) {
       init_ += "      x[" + lit(j) + "] = " + lit(x0[j]) + ";\n";
     }
@@ -398,7 +398,7 @@ void Emitter::emit_block(std::size_t i) {
     compute_ += "        std::span<double> y(a + " + out_off(0) + ", " +
                 lit(out_slice(i, 0).width) + ");\n";
     compute_ += "        ma::multiply_into(y, " + id +
-                "c, std::span<const double>(e.state(" + S + "), " + lit(n) +
+                "c, std::span<const double>(e.active_x + " + S + ", " + lit(n) +
                 "));\n";
     compute_ += "        ma::multiply_add_into(y, " + id +
                 "d, std::span<const double>(a + " + in_off(0) + ", " +
@@ -407,7 +407,7 @@ void Emitter::emit_block(std::size_t i) {
     deriv_ += "      case " + B + ": {\n";
     deriv_ += "        std::span<double> d(dx, " + lit(n) + ");\n";
     deriv_ += "        ma::multiply_into(d, " + id +
-              "a, std::span<const double>(e.state(" + S + "), " + lit(n) +
+              "a, std::span<const double>(e.active_x + " + S + ", " + lit(n) +
               "));\n";
     deriv_ += "        ma::multiply_add_into(d, " + id +
               "b, std::span<const double>(a + " + in_off(0) + ", " +
@@ -578,7 +578,7 @@ void Emitter::emit_block(std::size_t i) {
     } else {
       members_ += "  bl::DurationSpec " + id + "spec = " + spec_expr(b) + ";\n";
       event_ += "        const double d = bl::sample_duration(" + id +
-                "spec, e.rng());\n";
+                "spec, e.rng);\n";
       event_ +=
           "        if (d < 0.0) throw std::runtime_error(\"EventDelay: "
           "sampler returned < 0\");\n";
@@ -708,10 +708,10 @@ std::string Emitter::generate(const std::string& hash_hex) {
 #include "fault/comm_gate.hpp"
 #include "mathlib/matrix.hpp"
 
-// Unity-include the order-sensitive runtime kernels so -O3 inlines the event
-// queue, trace recording, RNG and integrator straight into the generated
-// engine loop — the main throughput win over the interpreter, whose calls to
-// the same kernels stay behind a TU boundary. The kernels are compiled from
+// Unity-include the order-sensitive runtime kernels so -O3 inlines trace
+// recording, RNG and integrator straight into this module's instantiation of
+// the hybrid loop — the main throughput win over the interpreter, whose
+// calls to the same kernels stay behind a TU boundary. The kernels are compiled from
 // the same sources with the same flags, and no FMA contraction is enabled,
 // so the arithmetic stays bit-identical to the interpreter's. The runtime
 // archive remains on the link line purely as a lazy fallback: every symbol
@@ -720,7 +720,6 @@ std::string Emitter::generate(const std::string& hash_hex) {
 #include "fault/comm_gate.cpp"
 #include "mathlib/matrix.cpp"
 #include "mathlib/rng.cpp"
-#include "sim/event_queue.cpp"
 #include "sim/integrator.cpp"
 #include "sim/trace.cpp"
 
@@ -729,7 +728,8 @@ namespace {
 namespace bl = ecsim::blocks;
 namespace fa = ecsim::fault;
 namespace ma = ecsim::math;
-using ecsim::backend::rt::Engine;
+struct Program;
+using Host = ecsim::backend::rt::ProgramDispatch<Program>;
 
 ma::Matrix make_matrix(std::size_t rows, std::size_t cols,
                        std::initializer_list<double> row_major) {
@@ -764,7 +764,7 @@ struct Program {
     table("kSinkBlock", blocks);
     table("kSinkPort", ports);
   }
-  // Block names in block order, for the engine's obs interning (ABI v2):
+  // Block names in block order, for the loop's obs interning (ABI v2):
   // the generated module interns the same strings in the same order the
   // interpreter's init_obs does.
   out_ += "  static constexpr std::array<const char*, " +
@@ -779,24 +779,24 @@ struct Program {
   for (std::size_t i = 0; i < m_.blocks.size(); ++i) emit_block(i);
 
   out_ += members_;
-  out_ += "\n  void init(Engine<Program>& e) {\n";
-  out_ += "    double* const a = e.arena();\n    (void)a;\n";
+  out_ += "\n  void init(Host& e) {\n";
+  out_ += "    double* const a = e.arena.data();\n    (void)a;\n";
   out_ += init_;
   out_ += "  }\n\n";
-  out_ += "  void compute(Engine<Program>& e, std::size_t b) {\n";
-  out_ += "    double* const a = e.arena();\n    (void)a;\n";
+  out_ += "  void compute(Host& e, std::size_t b) {\n";
+  out_ += "    double* const a = e.arena.data();\n    (void)a;\n";
   out_ += "    switch (b) {\n";
   out_ += compute_;
   out_ += "      default: break;\n    }\n  }\n\n";
-  out_ += "  void on_event(Engine<Program>& e, std::size_t b, std::size_t "
+  out_ += "  void on_event(Host& e, std::size_t b, std::size_t "
           "port) {\n";
-  out_ += "    double* const a = e.arena();\n    (void)a; (void)port;\n";
+  out_ += "    double* const a = e.arena.data();\n    (void)a; (void)port;\n";
   out_ += "    switch (b) {\n";
   out_ += event_;
   out_ += "      default: break;\n    }\n  }\n\n";
-  out_ += "  void derivatives(Engine<Program>& e, std::size_t b, double* dx) "
+  out_ += "  void derivatives(Host& e, std::size_t b, double* dx) "
           "{\n";
-  out_ += "    double* const a = e.arena();\n    (void)a; (void)dx;\n";
+  out_ += "    double* const a = e.arena.data();\n    (void)a; (void)dx;\n";
   out_ += "    switch (b) {\n";
   out_ += deriv_;
   out_ += "      default: break;\n    }\n  }\n";
@@ -825,10 +825,7 @@ struct Program {
     out_ += "        std::string(" + cstr(b.name) + "),\n";
   }
   out_ += R"(    });
-    Engine<Program> engine;
-    engine.bind_trace(tr);
-    engine.run(*o);
-    *events_out = engine.events_dispatched();
+    *events_out = ecsim::backend::rt::run<Program>(*o, *tr);
     return 0;
   } catch (const std::exception& ex) {
     return fail(ex.what());

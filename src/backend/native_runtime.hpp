@@ -1,32 +1,27 @@
-// Shared runtime for generated model modules (DESIGN.md §3.6). A generated
-// .cpp defines a `Program` — per-block parameters/state as members, the
-// layout tables from ir::LayoutIr as static constexpr arrays, and four
-// specialized entry points (init / compute / on_event / derivatives with
-// literal arena offsets) — and instantiates Engine<Program>.
-//
-// Engine::run() is a line-by-line port of sim::Simulator::run() with the
-// legacy_* bench baselines removed (the dispatcher falls back to the
-// interpreter whenever those are requested). The observability hooks are
-// ported too (ABI v2): telemetry flows through the NativeRunOptions::obs
-// callback table at the exact points the interpreter instruments — per-run
-// span, integration segments, cone-refresh spans, per-event instants,
-// events/evals/queue-high-water/cone-size/evals-per-block metrics — so an
-// instrumented native run produces the same sim-domain trace records and
-// the same metrics values as an instrumented interpreter run. A null table
-// (or a disabled tracer) keeps the hot path at one pointer test per hook,
-// the same cost model as the interpreter's null/disabled instruments.
-// Everything order-sensitive is either shared (the same same-instant lane,
-// the same sim::integrate() stepping the same workspace, the same math::Rng
-// and the same sim::Trace recording — unity-compiled into the module from
-// the interpreter's own sources) or order-equivalent by construction: the
-// event queue is the LaneQueue below, which pops the identical strict
-// (time, seq) total order sim::EventQueue pops, just without the heap. A
-// native run is therefore bit-identical to an interpreter run of the same
-// IR: identical event sequences, identical RNG draw order, identical
-// doubles in the trace (asserted by the interp-vs-native property suite).
+// Runtime for generated model modules (DESIGN.md §3.6). A generated .cpp
+// defines a `Program` — per-block parameters/state as members, the layout
+// tables from ir::LayoutIr as static constexpr arrays, and four specialized
+// entry points (init / compute / on_event / derivatives with literal arena
+// offsets) — and runs it through rt::run<Program>. This header holds only
+// the glue that plugs those entry points into the shared hybrid-event loop
+// (sim/hybrid_loop.hpp), the loop the interpreter runs too:
+//  - ProgramDispatch<Program>, the loop's dispatch policy and the `e` the
+//    generated kernels call back into (arena, state, rng, trace, emit);
+//  - TableObs, the loop's instrument backend over the ABI v2 NativeObsTable
+//    callback table, so an instrumented native run produces the same
+//    sim-domain trace records and metrics values as an instrumented
+//    interpreter run (a null table costs one pointer test per hook);
+//  - LaneQueue, the event queue specialized for generated modules.
+// Everything else order-sensitive is shared source: the same integrator
+// stepping the same workspace, the same math::Rng and the same sim::Trace
+// recording, unity-compiled into the module from the interpreter's own
+// sources. A native run is therefore bit-identical to an interpreter run of
+// the same IR (asserted by the interp-vs-native property suite and the
+// golden trace-digest table).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -34,15 +29,14 @@
 #include <vector>
 
 #include "backend/native_abi.hpp"
-#include "mathlib/rng.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/integrator.hpp"
+#include "sim/hybrid_loop.hpp"
 #include "sim/trace.hpp"
 
 namespace ecsim::backend::rt {
 
-/// Event queue specialized for generated modules. Engine::emit/schedule_self
-/// compute an event's time as `eval_time_ + delay` where eval_time_ never
+/// Event queue specialized for generated modules. emit/schedule_self compute
+/// an event's time as `time() + delay` where the evaluation time never
 /// decreases across pushes and each call site's delay is (nearly) constant,
 /// so the push stream decomposes into a handful of non-decreasing runs. The
 /// queue exploits that: it keeps a few FIFO lanes, appends each push to the
@@ -124,12 +118,10 @@ class LaneQueue {
   }
 
   /// Remove the earliest pending event if its time is exactly `t`; one
-  /// argmin scan, no element movement. The engine drains one instant by
-  /// calling this in a loop and dispatching each event as it pops — the
-  /// same (time, seq) sequence sim::EventQueue::pop_simultaneous batches
-  /// up, minus the copy into a batch vector. An event pushed mid-drain
-  /// with a different time fails the exact == t check and waits for the
-  /// next outer engine iteration, exactly as it would miss the batch.
+  /// argmin scan, no element movement. Same drain interface and the same
+  /// (time, seq) sequence as sim::EventQueue::pop_next_at. An event pushed
+  /// mid-drain with a later time fails the exact == t check and waits for
+  /// the next instant.
   bool pop_next_at(sim::Time t, sim::ScheduledEvent& out) {
     Lane* best_lane = nullptr;
     const sim::ScheduledEvent* best = nullptr;
@@ -199,321 +191,143 @@ class LaneQueue {
   std::size_t live_ = 0;
 };
 
+/// The hybrid loop's dispatch policy for a generated Program, and the
+/// services its kernels call (the Context replacements).
 template <class Program>
-class Engine {
+class ProgramDispatch : public sim::TrialState {
  public:
-  Engine() : arena_(Program::kArenaSize, 0.0) {}
+  using Queue = LaneQueue;
 
-  /// The trace to record into (borrowed; typically the host's). run()
-  /// clears it (names survive) and fills it exactly as the interpreter
-  /// would.
+  ProgramDispatch() { arena.assign(Program::kArenaSize, 0.0); }
+
+  sim::Agenda<LaneQueue> agenda;
+
+  /// The trace to record into (borrowed; the host's).
   void bind_trace(sim::Trace* t) { trace_ = t; }
-
-  void run(const NativeRunOptions& o) {
-    // Latch observability for this run: ids and instrument handles resolved
-    // once (mirror of Simulator::init_obs + the per-run tracing latch), so
-    // the hot paths below touch only cached ids and one-branch null tests.
-    init_obs(o.obs);
-    const double run_t0 =
-        obs_.tracing ? obs_.tab->now_us(obs_.tab->tracer) : 0.0;
-    // Wall-clock span around the whole run (recorded on scope exit, after
-    // the per-block eval flush — same order as the interpreter's RAII span).
-    struct RunSpan {
-      Engine* e;
-      double t0;
-      ~RunSpan() {
-        if (e->obs_.tracing) {
-          const NativeObsTable* tab = e->obs_.tab;
-          tab->span(tab->tracer, e->obs_.n_run, e->obs_.trk_runtime, t0,
-                    tab->now_us(tab->tracer), kNativeObsNoArg, 0.0);
-        }
-      }
-    } run_span{this, run_t0};
-
-    // Reset run state (including the RNG: same seed => same realization).
-    rng_ = math::Rng(o.seed);
-    time_ = 0.0;
-    x_.assign(Program::kTotalState, 0.0);
-    active_x_ = x_.data();
-    queue_.clear();
-    lane_.clear();
-    lane_active_ = false;
-    if (o.reserve_queue > 0) queue_.reserve(o.reserve_queue);
-    iws_.resize(Program::kTotalState);
-    trace_->clear();
-    trace_->reserve(o.reserve_events, o.reserve_signals);
-    events_dispatched_ = 0;
-    std::fill(arena_.begin(), arena_.end(), 0.0);
-    full_refresh_ = o.full_refresh != 0;
-
-    sim::IntegratorOptions integ;
-    integ.kind = static_cast<sim::IntegratorKind>(o.integrator_kind);
-    integ.max_step = o.max_step;
-    integ.rel_tol = o.rel_tol;
-    integ.abs_tol = o.abs_tol;
-    integ.min_step = o.min_step;
-
-    // Initialize every block (may write state/outputs and schedule events),
-    // then establish output consistency with one full sweep.
-    eval_time_ = 0.0;
-    prog_.init(*this);
-    refresh_blocks(order_span(Program::kEvalOrder), 0.0);
-
-    const double t_end = o.end_time;
-    const std::size_t max_events = o.max_events;
-    while (true) {
-      double t_next = t_end;
-      bool have_event = false;
-      if (!queue_.empty() && queue_.next_time() <= t_end) {
-        t_next = queue_.next_time();
-        have_event = true;
-      }
-      if (t_next > time_) {
-        if constexpr (Program::kTotalState > 0) {
-          const double span_t0 =
-              obs_.tracing ? obs_.tab->now_us(obs_.tab->tracer) : 0.0;
-          sim::integrate(
-              integ,
-              [this](double t, const std::vector<double>& x,
-                     std::vector<double>& dx) {
-                evaluate_derivatives(t, x, dx);
-              },
-              time_, t_next, x_, iws_);
-          active_x_ = x_.data();
-          if (obs_.tracing) {
-            const NativeObsTable* tab = obs_.tab;
-            tab->span(tab->tracer, obs_.n_integrate, obs_.trk_runtime,
-                      span_t0, tab->now_us(tab->tracer), kNativeObsNoArg,
-                      0.0);
-          }
-        }
-        time_ = t_next;
-        refresh_dynamic(time_);
-      }
-      if (!have_event) break;
-      // High-water mark of *pending* events, read once per instant before
-      // the drain (the same-instant lane is empty here) — the same point the
-      // interpreter samples queue_.size().
-      if (obs_.queue_hwm != nullptr) {
-        obs_.tab->gauge_max(obs_.queue_hwm, queue_.size());
-      }
-      lane_active_ = true;
-      // Drain the instant pop-by-pop: same (time, seq) order the
-      // interpreter's batched pop_simultaneous dispatches in, without
-      // copying the tie set into a batch vector first. Same-instant
-      // cascades emitted during dispatch land in lane_, never the queue,
-      // so the == time_ drain sees exactly the original tie set.
-      sim::ScheduledEvent ev;
-      while (queue_.pop_next_at(time_, ev)) {
-        dispatch_one(ev, max_events);
-      }
-      // Zero-delay cascades landed in the lane instead of the heap; index
-      // loop because a dispatch may append (and reallocate) while we drain.
-      for (std::size_t i = 0; i < lane_.size(); ++i) {
-        const sim::ScheduledEvent e = lane_[i];
-        dispatch_one(e, max_events);
-      }
-      lane_.clear();
-      lane_active_ = false;
-    }
-    if (obs_.evals_per_block != nullptr) {
-      // Distribution of eval calls across blocks for this run (hot blocks
-      // sit in the top buckets); per-run counts then reset.
-      for (std::uint64_t& n : obs_.per_block_evals) {
-        if (n > 0) {
-          obs_.tab->histogram_observe(obs_.evals_per_block,
-                                      static_cast<double>(n));
-        }
-        n = 0;
-      }
-    }
-  }
-
-  std::size_t events_dispatched() const { return events_dispatched_; }
-
-  // ---- services for generated kernels (the Context replacements) ----------
-
-  double* arena() { return arena_.data(); }
-  double time() const { return eval_time_; }
-  math::Rng& rng() { return rng_; }
   sim::Trace& trace() { return *trace_; }
-  const double* state(std::size_t offset) const { return active_x_ + offset; }
-  double* state_mut(std::size_t offset) { return x_.data() + offset; }
 
-  void emit(std::size_t block, std::size_t event_out, double delay) {
-    const double at = eval_time_ + delay;
-    const std::size_t slot = Program::kSinkBase[block] + event_out;
-    const std::size_t lo = Program::kSinkPtr[slot];
-    const std::size_t hi = Program::kSinkPtr[slot + 1];
-    if (lane_active_ && at == time_) {
-      for (std::size_t s = lo; s < hi; ++s) {
-        lane_.push_back(sim::ScheduledEvent{at, 0, Program::kSinkBlock[s],
-                                            Program::kSinkPort[s]});
-      }
-      return;
-    }
-    for (std::size_t s = lo; s < hi; ++s) {
-      queue_.push(at, Program::kSinkBlock[s], Program::kSinkPort[s]);
-    }
+  static constexpr std::size_t total_state() { return Program::kTotalState; }
+  static std::span<const std::size_t> eval_order() {
+    return Program::kEvalOrder;
   }
-
-  void schedule_self(std::size_t block, std::size_t event_in, double delay) {
-    const double at = eval_time_ + delay;
-    if (lane_active_ && at == time_) {
-      lane_.push_back(sim::ScheduledEvent{at, 0, block, event_in});
-      return;
-    }
-    queue_.push(at, block, event_in);
+  static std::span<const std::size_t> dynamic_cone() {
+    return Program::kDynamicCone;
   }
-
- private:
-  template <class Arr>
-  static std::span<const std::size_t> order_span(const Arr& a) {
-    return std::span<const std::size_t>(a.data(), a.size());
+  static std::span<const std::size_t> stateful_blocks() {
+    return Program::kStatefulBlocks;
   }
-
-  std::span<const std::size_t> cone(std::size_t block) const {
+  static std::span<const std::size_t> cone(std::size_t block) {
     return {Program::kConeBlocks.data() + Program::kConeBase[block],
             Program::kConeBase[block + 1] - Program::kConeBase[block]};
   }
 
-  void refresh_blocks(std::span<const std::size_t> order, double t) {
+  void initialize() {
+    eval_time_ = 0.0;
+    prog_.init(*this);
+  }
+  void refresh(std::span<const std::size_t> order, double t) {
     eval_time_ = t;
     for (std::size_t b : order) prog_.compute(*this, b);
-    if (obs_.evals != nullptr) {
-      obs_.tab->counter_add(obs_.evals, order.size());
-      for (std::size_t b : order) ++obs_.per_block_evals[b];
+  }
+  void on_event(std::size_t block, std::size_t event_in, double t) {
+    eval_time_ = t;
+    prog_.on_event(*this, block, event_in);
+  }
+  void derivatives(std::size_t b, double, std::vector<double>& dx) {
+    prog_.derivatives(*this, b, dx.data() + Program::kStateOffset[b]);
+  }
+
+  // ---- services for generated kernels -------------------------------------
+
+  double time() const { return eval_time_; }
+
+  void emit(std::size_t block, std::size_t event_out, double delay) {
+    const double at = eval_time_ + delay;
+    const std::size_t slot = Program::kSinkBase[block] + event_out;
+    for (std::size_t s = Program::kSinkPtr[slot];
+         s < Program::kSinkPtr[slot + 1]; ++s) {
+      agenda.schedule(at, Program::kSinkBlock[s], Program::kSinkPort[s]);
     }
   }
 
-  void refresh_dynamic(double t) {
-    refresh_blocks(full_refresh_ ? order_span(Program::kEvalOrder)
-                                 : order_span(Program::kDynamicCone),
-                   t);
+  void schedule_self(std::size_t block, std::size_t event_in, double delay) {
+    agenda.schedule(eval_time_ + delay, block, event_in);
   }
 
-  void evaluate_derivatives(double t, const std::vector<double>& x,
-                            std::vector<double>& dx) {
-    active_x_ = x.data();
-    refresh_dynamic(t);
-    std::fill(dx.begin(), dx.end(), 0.0);
-    for (std::size_t b : Program::kStatefulBlocks) {
-      prog_.derivatives(*this, b, dx.data() + Program::kStateOffset[b]);
-    }
-  }
-
-  void dispatch_one(const sim::ScheduledEvent& e, std::size_t max_events) {
-    trace_->record_event(e.time, e.block, e.event_in);
-    if (obs_.tracing) {
-      const NativeObsTable* tab = obs_.tab;
-      // Sim-domain instant (seconds -> microseconds, obs::sim_us).
-      tab->instant(tab->tracer, obs_.block_names[e.block], obs_.trk_events,
-                   e.time * 1e6, obs_.a_port,
-                   static_cast<double>(e.event_in));
-    }
-    if (obs_.events != nullptr) obs_.tab->counter_add(obs_.events, 1);
-    eval_time_ = e.time;
-    prog_.on_event(*this, e.block, e.event_in);
-    const std::span<const std::size_t> c =
-        full_refresh_ ? order_span(Program::kEvalOrder) : cone(e.block);
-    if (obs_.tracing) {
-      // Traced runs refresh even empty cones inside the span, exactly as
-      // the interpreter's traced path does (a semantic no-op either way).
-      const NativeObsTable* tab = obs_.tab;
-      const double span_t0 = tab->now_us(tab->tracer);
-      refresh_blocks(c, time_);
-      tab->span(tab->tracer, obs_.n_cone, obs_.trk_runtime, span_t0,
-                tab->now_us(tab->tracer), obs_.a_cone_size,
-                static_cast<double>(c.size()));
-    } else if (!c.empty()) {
-      // Empty cones (pure event-plumbing blocks) skip the refresh outright —
-      // same condition as the interpreter's non-traced hot path.
-      refresh_blocks(c, time_);
-    }
-    if (obs_.cone_sizes != nullptr) {
-      obs_.tab->histogram_observe(obs_.cone_sizes,
-                                  static_cast<double>(c.size()));
-    }
-    if (++events_dispatched_ > max_events) {
-      throw std::runtime_error(
-          "Simulator: max_events exceeded (runaway loop?)");
-    }
-  }
-
-  /// Mirror of Simulator::init_obs, resolved through the ABI v2 callback
-  /// table: tracks, names and instrument handles are looked up once per run
-  /// (interning is idempotent on the host side) in the same order the
-  /// interpreter interns them, so resolved name/track strings line up
-  /// between an instrumented interpreter run and an instrumented native run.
-  void init_obs(const NativeObsTable* tab) {
-    obs_.tab = tab;
-    obs_.tracing = false;
-    obs_.events = nullptr;
-    obs_.evals = nullptr;
-    obs_.queue_hwm = nullptr;
-    obs_.cone_sizes = nullptr;
-    obs_.evals_per_block = nullptr;
-#ifndef ECSIM_OBS_DISABLED
-    if (tab == nullptr) return;
-    if (void* t = tab->tracer; t != nullptr) {
-      obs_.tracing = tab->tracer_enabled(t) != 0;
-      obs_.trk_runtime = tab->track(t, "runtime/sim", 0);  // Domain::kWall
-      obs_.trk_events = tab->track(t, "sim/events", 1);    // Domain::kSim
-      obs_.n_run = tab->intern(t, "sim.run");
-      obs_.n_integrate = tab->intern(t, "sim.integrate");
-      obs_.n_cone = tab->intern(t, "sim.cone_refresh");
-      obs_.a_cone_size = tab->intern(t, "cone_size");
-      obs_.a_port = tab->intern(t, "event_in");
-      obs_.block_names.clear();
-      obs_.block_names.reserve(Program::kBlockNames.size());
-      for (const char* name : Program::kBlockNames) {
-        obs_.block_names.push_back(tab->intern(t, name));
-      }
-    }
-    if (void* m = tab->metrics; m != nullptr) {
-      obs_.events = tab->counter(m, "sim.events_dispatched");
-      obs_.evals = tab->counter(m, "sim.eval_calls");
-      obs_.queue_hwm = tab->gauge(m, "sim.queue_high_water");
-      obs_.cone_sizes = tab->histogram(m, "sim.cone_refresh_size");
-      obs_.evals_per_block = tab->histogram(m, "sim.eval_calls_per_block");
-      obs_.per_block_evals.assign(Program::kBlockNames.size(), 0);
-    }
-#endif
-  }
-
+ private:
   Program prog_;
-  math::Rng rng_{1};
   sim::Trace* trace_ = nullptr;
-  LaneQueue queue_;
-  sim::IntegratorWorkspace iws_;
-  std::vector<sim::ScheduledEvent> lane_;
-  bool lane_active_ = false;
-  bool full_refresh_ = false;
-
-  std::vector<double> arena_;
-  double time_ = 0.0;
   double eval_time_ = 0.0;
-  std::vector<double> x_;
-  const double* active_x_ = nullptr;
-  std::size_t events_dispatched_ = 0;
-
-  // Observability wiring (mirror of Simulator's ObsHooks): cached ids and
-  // opaque host-side instrument handles; `tracing` is latched per run.
-  struct ObsHooks {
-    const NativeObsTable* tab = nullptr;
-    bool tracing = false;
-    std::uint32_t trk_runtime = 0;  // wall-clock spans
-    std::uint32_t trk_events = 0;   // sim-time event instants
-    std::uint32_t n_run = 0, n_integrate = 0, n_cone = 0;
-    std::uint32_t a_cone_size = 0, a_port = 0;
-    std::vector<std::uint32_t> block_names;
-    void* events = nullptr;           // Counter: sim.events_dispatched
-    void* evals = nullptr;            // Counter: sim.eval_calls
-    void* queue_hwm = nullptr;        // Gauge: sim.queue_high_water
-    void* cone_sizes = nullptr;       // Histogram: sim.cone_refresh_size
-    void* evals_per_block = nullptr;  // Histogram: sim.eval_calls_per_block
-    std::vector<std::uint64_t> per_block_evals;
-  } obs_;
 };
+
+/// sim::ObsSink's instrument backend for generated modules: the ABI v2
+/// callback table, so the module does not link the obs library.
+struct TableObs {
+  using Counter = void*;
+  using Gauge = void*;
+  using Histogram = void*;
+  static constexpr std::uint32_t kNoArg = kNativeObsNoArg;
+
+  const NativeObsTable* tab = nullptr;
+  void* tracer = nullptr;
+  void* metrics = nullptr;
+
+  bool enabled() const { return tab->tracer_enabled(tracer) != 0; }
+  double now() const { return tab->now_us(tracer); }
+  std::uint32_t track(const char* name, bool sim_domain) const {
+    return tab->track(tracer, name, sim_domain ? 1 : 0);  // obs::Domain
+  }
+  std::uint32_t intern(const char* name) const {
+    return tab->intern(tracer, name);
+  }
+  void span(std::uint32_t name, std::uint32_t track, double t0, double t1,
+            std::uint32_t arg_name, double arg) const {
+    tab->span(tracer, name, track, t0, t1, arg_name, arg);
+  }
+  void instant(std::uint32_t name, std::uint32_t track, double ts,
+               std::uint32_t arg_name, double arg) const {
+    tab->instant(tracer, name, track, ts, arg_name, arg);
+  }
+  Counter counter(const char* name) const { return tab->counter(metrics, name); }
+  Gauge gauge(const char* name) const { return tab->gauge(metrics, name); }
+  Histogram histogram(const char* name) const {
+    return tab->histogram(metrics, name);
+  }
+  void add(Counter c, std::uint64_t n) const { tab->counter_add(c, n); }
+  void max(Gauge g, std::size_t v) const { tab->gauge_max(g, v); }
+  void observe(Histogram h, double v) const { tab->histogram_observe(h, v); }
+};
+
+template <class Program>
+using Engine =
+    sim::HybridLoop<ProgramDispatch<Program>, sim::ObsSink<TableObs>>;
+
+/// Run a generated Program once with the options the host passed across the
+/// ABI; fills `trace` exactly as the interpreter would. Returns the number of
+/// dispatched events.
+template <class Program>
+std::size_t run(const NativeRunOptions& n, sim::Trace& trace) {
+  sim::SimOptions o;
+  o.end_time = n.end_time;
+  o.integrator.kind = static_cast<sim::IntegratorKind>(n.integrator_kind);
+  o.integrator.max_step = n.max_step;
+  o.integrator.rel_tol = n.rel_tol;
+  o.integrator.abs_tol = n.abs_tol;
+  o.integrator.min_step = n.min_step;
+  o.seed = n.seed;
+  o.max_events = n.max_events;
+  o.full_refresh = n.full_refresh != 0;
+  o.reserve_events = n.reserve_events;
+  o.reserve_signals = n.reserve_signals;
+  o.reserve_queue = n.reserve_queue;
+  Engine<Program> engine;
+  engine.dispatch().bind_trace(&trace);
+  if (n.obs != nullptr) {
+    engine.telemetry().bind(TableObs{n.obs, n.obs->tracer, n.obs->metrics},
+                            Program::kBlockNames);
+  }
+  engine.run(o);
+  return engine.events_dispatched();
+}
 
 }  // namespace ecsim::backend::rt

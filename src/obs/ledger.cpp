@@ -323,6 +323,8 @@ LedgerDiff diff_latest_against_bench(const std::vector<LedgerRecord>& records,
       if (find_key(bench_json, "scenario", p, q)) next = q;
       const std::string entry = bench_json.substr(p, next - p);
       has_events = get_number(entry, "native_best_events_per_s",
+                              d.committed_events_per_s) ||
+                   get_number(entry, "best_events_per_s",
                               d.committed_events_per_s);
       has_mc = get_number(entry, "mc_best_trials_per_s",
                           d.committed_trials_per_s);
@@ -331,8 +333,8 @@ LedgerDiff diff_latest_against_bench(const std::vector<LedgerRecord>& records,
     at = p;
   }
   if (!has_events && !has_mc) {
-    d.message = "no committed native_best_events_per_s or "
-                "mc_best_trials_per_s for scenario '" +
+    d.message = "no committed native_best_events_per_s, best_events_per_s "
+                "or mc_best_trials_per_s for scenario '" +
                 scenario + "'";
     return d;
   }

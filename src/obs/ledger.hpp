@@ -151,7 +151,8 @@ struct LedgerDiff {
 };
 
 /// Find the committed `model_ir_hash_<scenario>` and the scenario's
-/// `native_best_events_per_s` and/or `mc_best_trials_per_s` in `bench_json`
+/// `native_best_events_per_s` (or, for interpreter figures such as EXP-P4's,
+/// `best_events_per_s`) and/or `mc_best_trials_per_s` in `bench_json`
 /// (a BENCH_*.json text), locate the newest records in `records` whose
 /// ir_hash matches (events/s for single runs, trials/s for Monte Carlo
 /// batches), and flag a regression when either figure is more than

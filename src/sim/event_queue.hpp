@@ -4,13 +4,12 @@
 // processed after the events already pending at that instant).
 //
 // Implementation: an explicit flat 4-ary min-heap over a contiguous vector
-// (DESIGN.md §3.4). Compared to the former std::priority_queue binary heap,
-// a 4-ary layout halves the sift depth, keeps each sift level inside one or
-// two cache lines of 32-byte elements, supports reserve() so steady-state
-// pushes never reallocate, clears in O(1), and drains same-instant ties in
-// one batched call instead of re-comparing the top per event. The pop order
-// is a total order on (time, seq), so any heap arity yields the identical
-// event sequence — property-tested against a std::priority_queue oracle.
+// (DESIGN.md §3.4). Compared to a std::priority_queue binary heap, a 4-ary
+// layout halves the sift depth, keeps each sift level inside one or two
+// cache lines of 32-byte elements, supports reserve() so steady-state pushes
+// never reallocate, and clears in O(1). The pop order is a total order on
+// (time, seq), so any heap arity yields the identical event sequence —
+// property-tested against a std::priority_queue oracle.
 #pragma once
 
 #include <algorithm>
@@ -30,94 +29,60 @@ struct ScheduledEvent {
   std::size_t event_in = 0;   // destination event input port
 };
 
-class EventQueue {
+/// Flat 4-ary min-heap on (time, seq) over any event record carrying those
+/// fields; push() stamps seq, so ties pop FIFO. EventQueue below and the
+/// batched engine's masked queue (simd/batched_sim.hpp) are instances.
+/// Defined inline: these run once per dispatched event, and an out-of-line
+/// call per event is measurable at the tens of millions of events/s the
+/// engine sustains.
+template <class Event>
+class QuadHeap {
  public:
-  /// Heap discipline. kQuad is the production path; kLegacyBinary restores
-  /// the std::push_heap/std::pop_heap binary heap that std::priority_queue
-  /// used, kept only as the bench_p4 A/B baseline and the property-test
-  /// oracle. Both produce the same pop sequence.
-  enum class Impl { kQuad, kLegacyBinary };
-
-  // push/pop/pop_simultaneous are defined inline below: they run once (or
-  // once per tie) per dispatched event, and an out-of-line call per event is
-  // measurable at the tens-of-millions-events/s the engine sustains. The
-  // legacy binary mode deliberately routes through out-of-line *_legacy
-  // calls defined in event_queue.cpp — the former std::priority_queue
-  // implementation lived behind exactly such opaque per-event calls, and the
-  // A/B baseline has to reproduce that cost model, not just the heap shape.
-  void push(Time t, std::size_t block, std::size_t event_in) {
-    if (impl_ == Impl::kLegacyBinary) {
-      push_legacy(t, block, event_in);
-      return;
-    }
-    heap_.push_back(ScheduledEvent{t, next_seq_++, block, event_in});
+  void push(Event ev) {
+    ev.seq = next_seq_++;
+    heap_.push_back(ev);
     sift_up(heap_.size() - 1);
   }
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
-  /// Earliest pending event time; queue must be non-empty.
-  Time next_time() const {
-    if (impl_ == Impl::kLegacyBinary) return next_time_legacy();
-    if (heap_.empty()) throw std::logic_error("EventQueue::next_time: empty");
-    return heap_.front().time;
+  /// Earliest pending event; heap must be non-empty.
+  const Event& top() const { return heap_.front(); }
+  /// Remove and return the earliest event; heap must be non-empty.
+  Event pop_top() {
+    Event ev = heap_.front();
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0);
+    return ev;
   }
-  /// Remove and return the earliest event (FIFO among ties).
-  ScheduledEvent pop() {
-    if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty");
-    return pop_top();
-  }
-  /// Remove every event tied at the earliest pending time and append them
-  /// to `out` in FIFO order (out is not cleared). The dispatcher drains one
-  /// instant in a single call instead of re-comparing the heap top per
-  /// event. Returns the number of events appended; queue must be non-empty.
-  /// Ties at the minimal time pop in seq order because (time, seq) is a
-  /// strict total order; events emitted with zero delay *during* dispatch of
-  /// a batch get larger seq values and therefore land in a later batch —
-  /// identical order to popping one event at a time.
-  std::size_t pop_simultaneous(std::vector<ScheduledEvent>& out) {
-    if (heap_.empty())
-      throw std::logic_error("EventQueue::pop_simultaneous: empty");
-    const Time t = heap_.front().time;
-    std::size_t count = 0;
-    // Repeated pop_top: each pop yields the globally smallest remaining
-    // (time, seq). During a wide tie drain the replacement element carries
-    // an equal time, so it sinks by seq through the shallow 4-ary levels —
-    // measured faster than a scan-collect-and-rebuild alternative at both
-    // narrow (16-way) and wide (200-way) fan-outs.
-    do {
-      out.push_back(pop_top());
-      ++count;
-    } while (!heap_.empty() && heap_.front().time == t);
-    return count;
+  /// Remove the earliest event into `out` if its time is exactly `t`. The
+  /// hybrid loop drains one instant by calling this until it returns false:
+  /// ties pop in seq order because (time, seq) is a strict total order.
+  bool pop_next_at(Time t, Event& out) {
+    if (heap_.empty() || heap_.front().time != t) return false;
+    out = pop_top();
+    return true;
   }
   /// Drop all pending events and reset the FIFO sequence counter. O(1):
   /// keeps the backing capacity, so a cleared queue re-fills without
   /// allocating (regression-tested on a 1e6-event queue).
-  void clear();
+  void clear() {
+    heap_.clear();
+    next_seq_ = 0;
+  }
   /// Pre-size the backing vector so steady-state pushes never reallocate.
   void reserve(std::size_t n) { heap_.reserve(n); }
   std::size_t capacity() const { return heap_.capacity(); }
 
-  void set_impl(Impl impl);
-  Impl impl() const { return impl_; }
-
  private:
-  /// Orders the earliest (time, seq) to the top. Also the comparator
-  /// std::push_heap/std::pop_heap use in the legacy binary mode (they build
-  /// a max-heap, so "later" puts the minimum at the front) — exactly the
-  /// functor the former std::priority_queue used.
-  struct Later {
-    bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  static bool later(const ScheduledEvent& a, const ScheduledEvent& b) {
-    return Later{}(a, b);
+  /// a should pop after b.
+  static bool later(const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
   }
 
   void sift_up(std::size_t i) {
-    ScheduledEvent ev = heap_[i];
+    Event ev = heap_[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
       if (!later(heap_[parent], ev)) break;
@@ -129,7 +94,7 @@ class EventQueue {
 
   void sift_down(std::size_t i) {
     const std::size_t n = heap_.size();
-    ScheduledEvent ev = heap_[i];
+    Event ev = heap_[i];
     for (;;) {
       const std::size_t first_child = 4 * i + 1;
       if (first_child >= n) break;
@@ -145,25 +110,25 @@ class EventQueue {
     heap_[i] = ev;
   }
 
-  ScheduledEvent pop_top() {
-    if (impl_ == Impl::kLegacyBinary) return pop_legacy();
-    ScheduledEvent ev = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-    return ev;
-  }
-
-  // Out-of-line legacy-binary operations (event_queue.cpp): reproduce the
-  // opaque-call-per-event cost model of the former std::priority_queue
-  // implementation for the bench A/B baseline.
-  void push_legacy(Time t, std::size_t block, std::size_t event_in);
-  ScheduledEvent pop_legacy();
-  Time next_time_legacy() const;
-
-  std::vector<ScheduledEvent> heap_;
+  std::vector<Event> heap_;
   std::uint64_t next_seq_ = 0;
-  Impl impl_ = Impl::kQuad;
+};
+
+class EventQueue : public QuadHeap<ScheduledEvent> {
+ public:
+  void push(Time t, std::size_t block, std::size_t event_in) {
+    QuadHeap::push(ScheduledEvent{t, 0, block, event_in});
+  }
+  /// Earliest pending event time; queue must be non-empty.
+  Time next_time() const {
+    if (empty()) throw std::logic_error("EventQueue::next_time: empty");
+    return top().time;
+  }
+  /// Remove and return the earliest event (FIFO among ties).
+  ScheduledEvent pop() {
+    if (empty()) throw std::logic_error("EventQueue::pop: empty");
+    return pop_top();
+  }
 };
 
 }  // namespace ecsim::sim

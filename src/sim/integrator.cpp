@@ -8,17 +8,11 @@ namespace ecsim::sim {
 
 namespace {
 
-// The stage kernels are templated on the callable so each path keeps its
-// own dispatch cost: the hot path instantiates with DerivRef (bare indirect
-// call), the legacy bench baseline with const DerivFn& (std::function, as
-// the pre-workspace code had). The arithmetic is shared — one source of
-// truth keeps the two paths bit-identical.
-template <typename Fn>
-void rk4_step(const Fn& dxdt, Time t, double h, std::vector<double>& x,
-              std::vector<double>& k1, std::vector<double>& k2,
-              std::vector<double>& k3, std::vector<double>& k4,
-              std::vector<double>& tmp) {
+void rk4_step(DerivRef dxdt, Time t, double h, std::vector<double>& x,
+              IntegratorWorkspace& ws) {
   const std::size_t n = x.size();
+  std::vector<double> &k1 = ws.k1, &k2 = ws.k2, &k3 = ws.k3, &k4 = ws.k4,
+                      &tmp = ws.tmp;
   dxdt(t, x, k1);
   for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + 0.5 * h * k1[i];
   dxdt(t + 0.5 * h, tmp, k2);
@@ -36,7 +30,7 @@ void integrate_rk4(const IntegratorOptions& opts, DerivRef dxdt, Time t0,
   Time t = t0;
   while (t < t1) {
     const double h = std::min(opts.max_step, t1 - t);
-    rk4_step(dxdt, t, h, x, ws.k1, ws.k2, ws.k3, ws.k4, ws.tmp);
+    rk4_step(dxdt, t, h, x, ws);
     t += h;
   }
 }
@@ -65,16 +59,14 @@ double step_factor(double err) {
 }
 
 /// One RKF45 embedded step: six stages from state `x` at time `t` with step
-/// `h`. Writes the 5th-order solution into `x5` and returns the max scaled
+/// `h`. Writes the 5th-order solution into ws.x5 and returns the max scaled
 /// discrepancy between the embedded 4th and 5th order solutions.
-template <typename Fn>
-double rkf45_stages(const IntegratorOptions& opts, const Fn& dxdt, Time t,
+double rkf45_stages(const IntegratorOptions& opts, DerivRef dxdt, Time t,
                     double h, const std::vector<double>& x,
-                    std::vector<double>& k1, std::vector<double>& k2,
-                    std::vector<double>& k3, std::vector<double>& k4,
-                    std::vector<double>& k5, std::vector<double>& k6,
-                    std::vector<double>& tmp, std::vector<double>& x5) {
+                    IntegratorWorkspace& ws) {
   const std::size_t n = x.size();
+  std::vector<double> &k1 = ws.k1, &k2 = ws.k2, &k3 = ws.k3, &k4 = ws.k4,
+                      &k5 = ws.k5, &k6 = ws.k6, &tmp = ws.tmp, &x5 = ws.x5;
   dxdt(t, x, k1);
   for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + h * kA2 * k1[i];
   dxdt(t + h / 4.0, tmp, k2);
@@ -112,50 +104,16 @@ void integrate_rkf45(const IntegratorOptions& opts, DerivRef dxdt, Time t0,
   double h = std::min(opts.max_step, t1 - t0);
   while (t < t1) {
     h = std::min(h, t1 - t);
-    const double err = rkf45_stages(opts, dxdt, t, h, x, ws.k1, ws.k2, ws.k3,
-                                    ws.k4, ws.k5, ws.k6, ws.tmp, ws.x5);
+    const double err = rkf45_stages(opts, dxdt, t, h, x, ws);
     // Accept when within tolerance, and *force-accept* once h has been
     // clamped to min_step: shrinking further is impossible, so taking the
     // too-large-error step is the only way to keep making progress (the
     // alternative is retrying the same h forever). Tests pin this branch.
     if (err <= 1.0 || h <= opts.min_step) {
       t += h;
-      // The 5th-order solution becomes the state by swapping buffers — the
-      // legacy path copied x = x5 element-wise. Same values, no traffic.
+      // The 5th-order solution becomes the state by swapping buffers: the
+      // same values as copying x = x5, with no traffic.
       std::swap(x, ws.x5);
-    }
-    h *= std::clamp(step_factor(err), 0.2, 5.0);
-    h = std::clamp(h, opts.min_step, opts.max_step);
-  }
-}
-
-// ---- legacy allocating path (bench A/B baseline; see header) --------------
-
-void integrate_rk4_legacy(const IntegratorOptions& opts, const DerivFn& dxdt,
-                          Time t0, Time t1, std::vector<double>& x) {
-  const std::size_t n = x.size();
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n);
-  Time t = t0;
-  while (t < t1) {
-    const double h = std::min(opts.max_step, t1 - t);
-    rk4_step(dxdt, t, h, x, k1, k2, k3, k4, tmp);
-    t += h;
-  }
-}
-
-void integrate_rkf45_legacy(const IntegratorOptions& opts, const DerivFn& dxdt,
-                            Time t0, Time t1, std::vector<double>& x) {
-  const std::size_t n = x.size();
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), k5(n), k6(n), tmp(n), x5(n);
-  Time t = t0;
-  double h = std::min(opts.max_step, t1 - t0);
-  while (t < t1) {
-    h = std::min(h, t1 - t);
-    const double err =
-        rkf45_stages(opts, dxdt, t, h, x, k1, k2, k3, k4, k5, k6, tmp, x5);
-    if (err <= 1.0 || h <= opts.min_step) {
-      t += h;
-      x = x5;
     }
     h *= std::clamp(step_factor(err), 0.2, 5.0);
     h = std::clamp(h, opts.min_step, opts.max_step);
@@ -187,20 +145,6 @@ void integrate(const IntegratorOptions& opts, DerivRef dxdt, Time t0, Time t1,
                std::vector<double>& x) {
   IntegratorWorkspace ws;
   integrate(opts, dxdt, t0, t1, x, ws);
-}
-
-void integrate_legacy_alloc(const IntegratorOptions& opts, const DerivFn& dxdt,
-                            Time t0, Time t1, std::vector<double>& x) {
-  check_interval(t0, t1);
-  if (x.empty() || t1 == t0) return;
-  switch (opts.kind) {
-    case IntegratorKind::kRk4:
-      integrate_rk4_legacy(opts, dxdt, t0, t1, x);
-      break;
-    case IntegratorKind::kRkf45:
-      integrate_rkf45_legacy(opts, dxdt, t0, t1, x);
-      break;
-  }
 }
 
 }  // namespace ecsim::sim

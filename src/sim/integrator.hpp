@@ -9,7 +9,6 @@
 // state dimension once, an integrate() call performs zero heap allocations.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "mathlib/function_ref.hpp"
@@ -21,11 +20,6 @@ namespace ecsim::sim {
 /// Non-owning view used on the hot path; see function_ref lifetime rules.
 using DerivRef = ecsim::function_ref<void(Time, const std::vector<double>&,
                                           std::vector<double>&)>;
-
-/// Owning flavour for callers that store a derivative function (tests,
-/// hand-rolled drivers). Converts implicitly to DerivRef at the call site.
-using DerivFn =
-    std::function<void(Time, const std::vector<double>&, std::vector<double>&)>;
 
 enum class IntegratorKind {
   kRk4,    // classic fixed-step Runge-Kutta 4
@@ -80,14 +74,5 @@ void integrate(const IntegratorOptions& opts, DerivRef dxdt, Time t0, Time t1,
 /// Convenience overload with a throwaway workspace (tests, one-shot use).
 void integrate(const IntegratorOptions& opts, DerivRef dxdt, Time t0, Time t1,
                std::vector<double>& x);
-
-/// Bench-only A/B baseline: the pre-workspace path that allocates every
-/// stage buffer per call, dispatches through std::function and copies
-/// x = x5 on each accepted RKF45 step. Kept so bench_p4_hotpath can measure
-/// the optimisation against the real legacy cost inside one binary
-/// (SimOptions::legacy_integrator_alloc routes here). Bit-identical results
-/// to integrate() — asserted by the hot-path equivalence property test.
-void integrate_legacy_alloc(const IntegratorOptions& opts, const DerivFn& dxdt,
-                            Time t0, Time t1, std::vector<double>& x);
 
 }  // namespace ecsim::sim

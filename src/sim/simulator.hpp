@@ -1,23 +1,24 @@
-// Simulator: executes a Model. Hybrid semantics following Scicos:
-//  - event queue orders discrete activations (deterministic FIFO among ties);
-//  - between event instants the packed continuous state is integrated, with
-//    the combinational (direct-feedthrough) network re-evaluated at every
-//    integration stage in topological order;
-//  - at an event instant, pending events are dispatched one at a time and the
-//    combinational network is refreshed after each, so zero-delay event
-//    chains (the paper's graph of delays) see causally consistent values.
+// Simulator: executes a Model with the Scicos hybrid-event loop of
+// sim/hybrid_loop.hpp — events dispatched one at a time in (time, seq)
+// order, the continuous state integrated between instants, and the
+// combinational (direct-feedthrough) network refreshed so zero-delay event
+// chains (the paper's graph of delays) see causally consistent values.
 //
 // The structural work (wiring resolution, arena layout, topological orders,
-// re-evaluation cones) lives in CompiledModel; the Simulator owns only the
-// run state (arena values, continuous state, event queue, trace). By default
-// re-evaluation is *incremental*: after dispatching an event on block b only
-// b's feedthrough cone is refreshed, and between events only the dynamic
-// (time/state-dependent) cone is refreshed. SimOptions::full_refresh
-// restores the whole-network sweep for A/B equivalence checking.
+// re-evaluation cones) lives in CompiledModel. This header supplies the
+// loop's interpreted policies: BlockHost/InterpDispatch run Block virtuals
+// over the CompiledModel tables, and DirectObs reports to obs::Tracer /
+// obs::MetricsRegistry directly. By default re-evaluation is *incremental*:
+// after dispatching an event on block b only b's feedthrough cone is
+// refreshed, and between events only the dynamic (time/state-dependent)
+// cone. SimOptions::full_refresh restores the whole-network sweep as the
+// equivalence oracle.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "mathlib/rng.hpp"
@@ -26,64 +27,142 @@
 #include "sim/block.hpp"
 #include "sim/compiled_model.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/integrator.hpp"
+#include "sim/hybrid_loop.hpp"
 #include "sim/model.hpp"
 #include "sim/trace.hpp"
 
 namespace ecsim::sim {
 
-struct SimOptions {
-  /// Simulated horizon: run() executes events and integration from t = 0
-  /// until this instant (inclusive of events scheduled exactly at it).
-  Time end_time = 1.0;
-  /// Continuous-state integration (method, tolerances, step bounds) applied
-  /// between event instants; see sim/integrator.hpp.
-  IntegratorOptions integrator;
-  /// Seed of the run's math::Rng (noise sources and other stochastic
-  /// blocks). Identical seeds give bit-identical runs.
-  std::uint64_t seed = 1;
-  /// Hard cap on dispatched events; exceeding it aborts the run with an
-  /// exception (guards against runaway zero-delay loops).
-  std::size_t max_events = 20'000'000;
-  /// Debug flag: re-evaluate the whole feedthrough network at every refresh
-  /// point (the pre-compiled-core behaviour) instead of only the affected
-  /// cone. The two paths must produce bit-identical traces; keeping the old
-  /// sweep behind a flag makes that an assertable property.
-  bool full_refresh = false;
-  /// Trace capacity hints so long runs don't reallocate mid-trace. Size
-  /// them from the horizon and activation periods (e.g. end_time / tick
-  /// period x event fan-out). 0 keeps whatever capacity the trace has.
-  std::size_t reserve_events = 0;
-  std::size_t reserve_signals = 0;
-  /// Event-queue capacity hint: upper bound on simultaneously *pending*
-  /// events (typically the number of periodic sources x fan-out, not the
-  /// total event count). 0 keeps whatever capacity the queue has.
-  std::size_t reserve_queue = 0;
-  /// Bench-only A/B baselines (DESIGN.md §3.4). legacy_integrator_alloc
-  /// routes inter-event integration through integrate_legacy_alloc (per-call
-  /// stage buffers, std::function dispatch, x = x5 copies);
-  /// legacy_event_queue puts EventQueue in the std::priority_queue-equivalent
-  /// binary-heap mode (out-of-line call per operation, as the former
-  /// implementation was), pops one event per main-loop pass instead of
-  /// draining simultaneous ties in a batch, and keeps the seed's
-  /// unconditional cone refresh on empty cones. Both produce bit-identical
-  /// traces to the default hot path — asserted by the equivalence property
-  /// test — and exist so bench_p4_hotpath can measure the optimisation
-  /// inside one binary.
-  bool legacy_integrator_alloc = false;
-  bool legacy_event_queue = false;
-  /// Observability (both borrowed, may be null; see DESIGN.md §3.2). The
-  /// tracer receives wall-clock spans (compile, integration segments, cone
-  /// refreshes) and sim-time instants (event dispatches, incl. S/H
-  /// activations); the registry receives counters/gauges/histograms
-  /// (sim.events_dispatched, sim.eval_calls, sim.cone_refresh_size,
-  /// sim.queue_high_water, sim.eval_calls_per_block). A null pointer costs
-  /// one branch on the hot path.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
+/// The interpreter's block host: one trial's run state laid out by a
+/// CompiledModel, and the ExecHost face Block code reaches it through.
+/// Emission routing is the subclass's: the scalar loop's agenda
+/// (InterpDispatch) or a batched lane's consensus collector (BatchedSim).
+class BlockHost : public ExecHost, public TrialState {
+ public:
+  /// `model` supplies the block objects, `compiled` the layout (compiled
+  /// from `model` or from a structurally identical instance). Both borrowed.
+  BlockHost(const CompiledModel& compiled, Model& model);
+
+  const CompiledModel& compiled() const { return *compiled_; }
+  Model& model() const { return *model_; }
+  Trace& trace() { return trace_; }
+  const Trace& trace() const { return trace_; }
+
+  std::size_t total_state() const { return compiled_->total_state(); }
+  std::span<const std::size_t> eval_order() const {
+    return compiled_->eval_order();
+  }
+  std::span<const std::size_t> dynamic_cone() const {
+    return compiled_->dynamic_cone();
+  }
+  std::span<const std::size_t> cone(std::size_t b) const {
+    return compiled_->cone(b);
+  }
+  std::span<const std::size_t> stateful_blocks() const {
+    return compiled_->stateful_blocks();
+  }
+
+  void initialize(std::size_t b) {
+    Context ctx(this, b, 0.0, /*in_event=*/true);
+    model_->block(b).initialize(ctx);
+  }
+  void refresh(std::span<const std::size_t> order, Time t) {
+    for (std::size_t b : order) {
+      Context ctx(this, b, t, /*in_event=*/false);
+      model_->block(b).compute_outputs(ctx);
+    }
+  }
+  void on_event(std::size_t b, std::size_t event_in, Time t) {
+    Context ctx(this, b, t, /*in_event=*/true);
+    model_->block(b).on_event(ctx, event_in);
+  }
+  void derivatives(std::size_t b, Time t, std::vector<double>& dx) {
+    Block& blk = model_->block(b);
+    Context ctx(this, b, t, /*in_event=*/false);
+    blk.derivatives(ctx,
+                    std::span<double>(dx.data() + compiled_->state_offset(b),
+                                      blk.continuous_state_size()));
+  }
+
+ protected:
+  /// schedule_self's range check, shared by every emission route.
+  void check_event_input(std::size_t block, std::size_t event_in) const;
+
+  std::span<const double> ctx_input(std::size_t block,
+                                    std::size_t port) const override;
+  std::span<double> ctx_output(std::size_t block, std::size_t port) override;
+  std::span<const double> ctx_state(std::size_t block) const override;
+  std::span<double> ctx_state_mut(std::size_t block) override;
+  math::Rng& ctx_rng() override { return rng; }
+  Trace& ctx_trace() override { return trace_; }
+
+ private:
+  const CompiledModel* compiled_;
+  Model* model_;
+  Trace trace_;
 };
 
-class Simulator : private ExecHost {
+/// The hybrid loop's interpreted dispatch policy: emissions go to the
+/// loop's agenda.
+class InterpDispatch final : public BlockHost {
+ public:
+  using Queue = EventQueue;
+  using BlockHost::BlockHost;
+  using BlockHost::initialize;
+
+  void initialize() {
+    for (std::size_t b = 0; b < compiled().num_blocks(); ++b) initialize(b);
+  }
+
+  Agenda<EventQueue> agenda;
+
+ private:
+  void ctx_emit(std::size_t block, std::size_t event_out, Time at) override;
+  void ctx_schedule_self(std::size_t block, std::size_t event_in,
+                         Time at) override;
+};
+
+/// ObsSink's instrument backend for the interpreter: direct obs::Tracer /
+/// obs::MetricsRegistry pointers (either may be null).
+struct DirectObs {
+  using Counter = obs::Counter*;
+  using Gauge = obs::Gauge*;
+  using Histogram = obs::Histogram*;
+  static constexpr std::uint32_t kNoArg = obs::kNoArg;
+
+  obs::Tracer* tracer = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;
+
+  bool enabled() const { return obs::active(tracer); }
+  double now() const { return tracer->now_us(); }
+  std::uint32_t track(const char* name, bool sim_domain) const {
+    return tracer->track(name,
+                         sim_domain ? obs::Domain::kSim : obs::Domain::kWall);
+  }
+  std::uint32_t intern(std::string_view name) const {
+    return tracer->intern(name);
+  }
+  void span(std::uint32_t name, std::uint32_t track, double t0, double t1,
+            std::uint32_t arg_name, double arg) const {
+    tracer->span(name, track, t0, t1, arg_name, arg);
+  }
+  void instant(std::uint32_t name, std::uint32_t track, double ts,
+               std::uint32_t arg_name, double arg) const {
+    tracer->instant(name, track, ts, arg_name, arg);
+  }
+  Counter counter(const char* name) const { return &metrics->counter(name); }
+  Gauge gauge(const char* name) const { return &metrics->gauge(name); }
+  Histogram histogram(const char* name) const {
+    return &metrics->histogram(name);
+  }
+  static void add(Counter c, std::uint64_t n) { c->add(n); }
+  static void max(Gauge g, std::size_t v) {
+    g->max_of(static_cast<double>(v));
+  }
+  static void observe(Histogram h, double v) { h->observe(v); }
+};
+
+class Simulator {
  public:
   /// Compiles the model (see CompiledModel for what that entails; throws on
   /// algebraic loops and width mismatches) and prepares a runner. The model
@@ -96,18 +175,21 @@ class Simulator : private ExecHost {
   /// artifact without re-deriving orders and cones.
   Simulator(CompiledModel compiled, SimOptions opts = {});
 
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
+
   /// Run from t=0 to opts.end_time. May be called repeatedly; each call
   /// restarts from a clean initial state (blocks re-initialize).
   Trace& run();
 
   /// The recorded signals/events of the latest run (empty before the first).
-  Trace& trace() { return trace_; }
-  const Trace& trace() const { return trace_; }
+  Trace& trace() { return loop_.dispatch().trace(); }
+  const Trace& trace() const { return loop_.dispatch().trace(); }
   /// Current simulation time: end_time after a completed run().
-  Time current_time() const { return time_; }
+  Time current_time() const { return loop_.time(); }
   /// Events dispatched by the latest run (also exported as the
   /// sim.events_dispatched counter when a MetricsRegistry is attached).
-  std::size_t events_dispatched() const { return events_dispatched_; }
+  std::size_t events_dispatched() const { return loop_.events_dispatched(); }
 
   /// Reseed the run Rng for the next run() without rebuilding the simulator
   /// (Monte Carlo drivers reuse one compiled engine across trials).
@@ -121,68 +203,9 @@ class Simulator : private ExecHost {
   const CompiledModel& compiled() const { return compiled_; }
 
  private:
-  void init_obs();
-  void refresh_blocks(std::span<const std::size_t> order, Time t);
-  /// Refresh everything whose value can have drifted since the last refresh:
-  /// the full network under full_refresh, the dynamic cone otherwise.
-  void refresh_dynamic(Time t);
-  void evaluate_derivatives(Time t, const std::vector<double>& x,
-                            std::vector<double>& dx);
-
-  // Context backends (ExecHost).
-  std::span<const double> ctx_input(std::size_t block,
-                                    std::size_t port) const override;
-  std::span<double> ctx_output(std::size_t block, std::size_t port) override;
-  std::span<const double> ctx_state(std::size_t block) const override;
-  std::span<double> ctx_state_mut(std::size_t block) override;
-  void ctx_emit(std::size_t block, std::size_t event_out, Time at) override;
-  void ctx_schedule_self(std::size_t block, std::size_t event_in,
-                         Time at) override;
-  math::Rng& ctx_rng() override { return rng_; }
-  Trace& ctx_trace() override { return trace_; }
-
   CompiledModel compiled_;
-  Model& model_;
   SimOptions opts_;
-  math::Rng rng_;
-  Trace trace_;
-  EventQueue queue_;
-  IntegratorWorkspace iws_;              // reused across inter-event intervals
-  std::vector<ScheduledEvent> batch_;    // pop_simultaneous output, reused
-  /// Same-instant lane: while the dispatcher is draining an instant
-  /// (lane_active_), zero-delay emissions are appended here instead of
-  /// round-tripping through the heap — the heap's ties at this instant were
-  /// already fully drained, so append order equals the seq order the heap
-  /// would have assigned. Drained to empty before sim time advances;
-  /// disabled in the legacy_event_queue cost model.
-  std::vector<ScheduledEvent> lane_;
-  bool lane_active_ = false;
-
-  // Run state.
-  std::vector<double> arena_;           // all output values (flat)
-  Time time_ = 0.0;
-  std::vector<double> x_;               // committed continuous state
-  const double* active_x_ = nullptr;    // state viewed by blocks right now
-  bool in_integration_ = false;
-  std::size_t events_dispatched_ = 0;
-
-  // Observability wiring: names interned and metric instruments resolved
-  // once (init_obs), so the hot path touches only cached ids/pointers.
-  // `tracing` is re-latched at every run() so enable toggles take effect.
-  struct ObsHooks {
-    bool tracing = false;
-    std::uint32_t trk_runtime = 0;      // wall-clock spans
-    std::uint32_t trk_events = 0;       // sim-time event instants
-    std::uint32_t n_run = 0, n_integrate = 0, n_cone = 0, n_compile = 0;
-    std::uint32_t a_cone_size = 0, a_port = 0;
-    std::vector<std::uint32_t> block_names;
-    obs::Counter* events = nullptr;
-    obs::Counter* evals = nullptr;
-    obs::Gauge* queue_hwm = nullptr;
-    obs::Histogram* cone_sizes = nullptr;
-    obs::Histogram* evals_per_block = nullptr;
-    std::vector<std::uint64_t> per_block_evals;
-  } obs_;
+  HybridLoop<InterpDispatch, ObsSink<DirectObs>> loop_;
 };
 
 }  // namespace ecsim::sim

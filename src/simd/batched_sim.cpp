@@ -8,122 +8,40 @@
 
 namespace ecsim::sim {
 
-// ---- MaskedQueue -------------------------------------------------------------
-// The scalar EventQueue's quad heap (sim/event_queue.hpp) with a lane mask
-// per entry. (time, seq) stays a strict total order: each lane's entries pop
-// in exactly the relative order its scalar run would pop them, because a
-// lane's pushes happen in the same per-lane order under the batched driver
-// and the shared seq counter is monotone over pushes.
-
-void BatchedSim::MaskedQueue::push(Time t, std::size_t block,
-                                   std::size_t event_in, std::uint64_t mask) {
-  heap_.push_back(MaskedEvent{t, next_seq_++, block, event_in, mask});
-  std::size_t i = heap_.size() - 1;
-  const MaskedEvent ev = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    const MaskedEvent& p = heap_[parent];
-    const bool p_later =
-        p.time != ev.time ? p.time > ev.time : p.seq > ev.seq;
-    if (!p_later) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = ev;
-}
-
-void BatchedSim::MaskedQueue::sift_down(std::size_t i) {
-  const auto is_later = [](const MaskedEvent& a, const MaskedEvent& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  };
-  const std::size_t n = heap_.size();
-  const MaskedEvent ev = heap_[i];
-  for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    const std::size_t last_child = std::min(first_child + 4, n);
-    std::size_t best = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (is_later(heap_[best], heap_[c])) best = c;
-    }
-    if (!is_later(ev, heap_[best])) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = ev;
-}
-
-BatchedSim::MaskedEvent BatchedSim::MaskedQueue::pop_top() {
-  MaskedEvent ev = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  return ev;
-}
-
-void BatchedSim::MaskedQueue::pop_simultaneous(std::vector<MaskedEvent>& out) {
-  const Time t = heap_.front().time;
-  do {
-    out.push_back(pop_top());
-  } while (!heap_.empty() && heap_.front().time == t);
-}
+// The masked queue is the scalar EventQueue's QuadHeap with a lane mask per
+// entry. (time, seq) stays a strict total order: each lane's entries pop in
+// exactly the relative order its scalar run would pop them, because a lane's
+// pushes happen in the same per-lane order under the batched driver and the
+// shared seq counter is monotone over pushes.
 
 // ---- Lane --------------------------------------------------------------------
-// One trial's run state plus its ExecHost face: Context calls made by Block
-// code during this lane's turn resolve against this lane's arena/state/rng/
-// trace through exactly the accessors the scalar Simulator implements.
+// One trial: the scalar loop's block host (arena, state, rng, trace and the
+// ctx_* accessors Block code reaches through Context) with emissions routed
+// into the batch's consensus collector instead of a scalar agenda.
 
-struct BatchedSim::Lane final : ExecHost {
-  BatchedSim* owner = nullptr;
-  std::size_t index = 0;
-  std::unique_ptr<Model> model;
-  std::vector<double> arena;
-  std::vector<double> x;              // committed continuous state
-  const double* active_x = nullptr;   // state viewed by blocks right now
-  math::Rng rng{1};
-  Trace trace;
-  IntegratorWorkspace iws;
+struct BatchedSim::Lane final : BlockHost {
+  Lane(BatchedSim* owner, std::size_t index, std::unique_ptr<Model> m)
+      : BlockHost(*owner->compiled_, *m),
+        owner(owner),
+        index(index),
+        owned_model(std::move(m)) {}
+
+  BatchedSim* owner;
+  std::size_t index;
+  std::unique_ptr<Model> owned_model;
   std::uint64_t seed = 0;
   std::size_t events = 0;
   bool evicted = false;
 
-  std::span<const double> ctx_input(std::size_t block,
-                                    std::size_t port) const override {
-    const ArenaSlice s = owner->compiled_->input_slice(block, port);
-    return std::span<const double>(arena.data() + s.offset, s.width);
-  }
-  std::span<double> ctx_output(std::size_t block, std::size_t port) override {
-    const ArenaSlice s = owner->compiled_->output_slice(block, port);
-    return std::span<double>(arena.data() + s.offset, s.width);
-  }
-  std::span<const double> ctx_state(std::size_t block) const override {
-    return std::span<const double>(
-        active_x + owner->compiled_->state_offset(block),
-        model->block(block).continuous_state_size());
-  }
-  std::span<double> ctx_state_mut(std::size_t block) override {
-    if (owner->in_integration_) {
-      throw std::logic_error(
-          "Context::state_mut: continuous state is read-only during "
-          "integration");
-    }
-    return std::span<double>(x.data() + owner->compiled_->state_offset(block),
-                             model->block(block).continuous_state_size());
-  }
   void ctx_emit(std::size_t block, std::size_t event_out, Time at) override {
-    for (const PortRef& sink : owner->compiled_->event_sinks(block, event_out))
+    for (const PortRef& sink : compiled().event_sinks(block, event_out))
       owner->lane_collect(index, at, sink.block, sink.port);
   }
   void ctx_schedule_self(std::size_t block, std::size_t event_in,
                          Time at) override {
-    if (event_in >= model->block(block).num_event_inputs()) {
-      throw std::out_of_range("schedule_self: event input out of range");
-    }
+    check_event_input(block, event_in);
     owner->lane_collect(index, at, block, event_in);
   }
-  math::Rng& ctx_rng() override { return rng; }
-  Trace& ctx_trace() override { return trace; }
 };
 
 // ---- BatchedSim --------------------------------------------------------------
@@ -135,33 +53,28 @@ BatchedSim::BatchedSim(const ModelFactory& factory, BatchedOptions opts)
   if (w == 0 || w > 64) {
     throw std::invalid_argument("BatchedSim: width must be in [1, 64]");
   }
-  // Obs hooks and bench cost models are scalar-driver concerns; the batched
-  // driver (and its spill reruns) run bare so lane traces depend on nothing
-  // but (model, base options, seed).
+  // Obs hooks are a scalar-driver concern; the batched driver (and its spill
+  // reruns) run bare so lane traces depend on nothing but (model, base
+  // options, seed).
   opts_.base.tracer = nullptr;
   opts_.base.metrics = nullptr;
-  opts_.base.legacy_integrator_alloc = false;
-  opts_.base.legacy_event_queue = false;
 
-  lanes_.reserve(w);
+  std::vector<std::unique_ptr<Model>> models;
+  models.reserve(w);
   for (std::size_t l = 0; l < w; ++l) {
-    auto lane = std::make_unique<Lane>();
-    lane->owner = this;
-    lane->index = l;
-    lane->model = factory();
-    if (lane->model == nullptr) {
+    models.push_back(factory());
+    if (models.back() == nullptr) {
       throw std::invalid_argument("BatchedSim: factory returned null model");
     }
-    lanes_.push_back(std::move(lane));
   }
 
-  compiled_ = std::make_unique<CompiledModel>(*lanes_[0]->model);
+  compiled_ = std::make_unique<CompiledModel>(*models[0]);
 
   // Lockstep is only sound over structurally identical diagrams: the shared
   // layout (offsets, orders, cones, sinks) is compiled once from lane 0.
-  const Model& m0 = *lanes_[0]->model;
+  const Model& m0 = *models[0];
   for (std::size_t l = 1; l < w; ++l) {
-    const Model& m = *lanes_[l]->model;
+    const Model& m = *models[l];
     bool ok = m.num_blocks() == m0.num_blocks();
     for (std::size_t b = 0; ok && b < m0.num_blocks(); ++b) {
       const Block& a = m0.block(b);
@@ -178,9 +91,9 @@ BatchedSim::BatchedSim(const ModelFactory& factory, BatchedOptions opts)
     }
   }
 
-  for (std::unique_ptr<Lane>& lane : lanes_) {
-    lane->arena.assign(compiled_->arena_size(), 0.0);
-    lane->trace.register_block_names(compiled_->block_names());
+  lanes_.reserve(w);
+  for (std::size_t l = 0; l < w; ++l) {
+    lanes_.push_back(std::make_unique<Lane>(this, l, std::move(models[l])));
   }
   emis_.resize(w);
 
@@ -218,7 +131,7 @@ BatchedSim::BatchedSim(const ModelFactory& factory, BatchedOptions opts)
       bool same = !ref.opaque;
       for (std::size_t l = 1; same && l < w; ++l) {
         ir::BlockIr other;
-        lanes_[l]->model->block(b).describe(other);
+        lanes_[l]->model().block(b).describe(other);
         same =
             !other.opaque && other.kind == ref.kind && other.attrs == ref.attrs;
       }
@@ -234,7 +147,7 @@ const Trace& BatchedSim::trace(std::size_t lane) const {
   if (lane >= active_) {
     throw std::out_of_range("BatchedSim::trace: lane was not run");
   }
-  return lanes_[lane]->trace;
+  return lanes_[lane]->trace();
 }
 
 std::size_t BatchedSim::events_dispatched(std::size_t lane) const {
@@ -277,7 +190,7 @@ void BatchedSim::lane_collect(std::size_t lane, Time at, std::size_t block,
     if (lane_active_ && at == time_) {
       instant_q_.push_back(InstEntry{block, event_in, uniform_mask_});
     } else {
-      queue_.push(at, block, event_in, uniform_mask_);
+      queue_.push(MaskedEvent{at, 0, block, event_in, uniform_mask_});
     }
     return;
   }
@@ -330,7 +243,7 @@ void BatchedSim::route_pending(const Pending& p, std::uint64_t mask) {
     // Simulator's ties-then-cascades order, per lane.
     instant_q_.push_back(InstEntry{p.block, p.event_in, mask});
   } else {
-    queue_.push(p.time, p.block, p.event_in, mask);
+    queue_.push(MaskedEvent{p.time, 0, p.block, p.event_in, mask});
   }
 }
 
@@ -347,35 +260,16 @@ void BatchedSim::flush_collected() {
   diverged_mask_ = 0;
 }
 
-void BatchedSim::refresh_lane(Lane& lane, std::span<const std::size_t> order,
-                              Time t) {
-  for (std::size_t b : order) {
-    Context ctx(&lane, b, t, /*in_event=*/false);
-    lane.model->block(b).compute_outputs(ctx);
-  }
-}
-
-void BatchedSim::refresh_dynamic_lane(Lane& lane, Time t) {
-  refresh_lane(lane,
-               opts_.base.full_refresh
-                   ? std::span<const std::size_t>(compiled_->eval_order())
-                   : compiled_->dynamic_cone(),
-               t);
+std::span<const std::size_t> BatchedSim::dynamic_order() const {
+  return opts_.base.full_refresh
+             ? std::span<const std::size_t>(compiled_->eval_order())
+             : compiled_->dynamic_cone();
 }
 
 void BatchedSim::eval_derivatives_lane(Lane& lane, Time t,
                                        const std::vector<double>& x,
                                        std::vector<double>& dx) {
-  lane.active_x = x.data();
-  refresh_dynamic_lane(lane, t);
-  std::fill(dx.begin(), dx.end(), 0.0);
-  for (std::size_t b : compiled_->stateful_blocks()) {
-    Block& blk = lane.model->block(b);
-    Context ctx(&lane, b, t, /*in_event=*/false);
-    blk.derivatives(ctx,
-                    std::span<double>(dx.data() + compiled_->state_offset(b),
-                                      blk.continuous_state_size()));
-  }
+  evaluate_derivatives(lane, t, x, dx, dynamic_order());
 }
 
 // Lockstep RK4: the shared stepper walks ONE (t, h) sequence; stage
@@ -418,7 +312,9 @@ void BatchedSim::rk4_lockstep(Time t0, Time t1) {
 }
 
 void BatchedSim::integrate_lanes(Time t0, Time t1) {
-  in_integration_ = true;
+  for (std::uint64_t bits = live_mask_; bits != 0; bits &= bits - 1) {
+    lanes_[std::countr_zero(bits)]->in_integration = true;
+  }
   if (opts_.base.integrator.kind == IntegratorKind::kRk4) {
     rk4_lockstep(t0, t1);
   } else {
@@ -436,9 +332,9 @@ void BatchedSim::integrate_lanes(Time t0, Time t1) {
           t0, t1, L.x, L.iws);
     }
   }
-  in_integration_ = false;
   for (std::uint64_t bits = live_mask_; bits != 0; bits &= bits - 1) {
     Lane& L = *lanes_[std::countr_zero(bits)];
+    L.in_integration = false;
     L.active_x = L.x.data();
   }
 }
@@ -458,16 +354,13 @@ void BatchedSim::dispatch_lane_turn(std::size_t lane, bool first,
   for (std::size_t i = begin; i < end; ++i) {
     const InstEntry& e = instant_q_[i];
     if ((e.mask & bit) == 0) continue;
-    L.trace.record_event(time_, e.block, e.event_in);
-    {
-      Context ctx(&L, e.block, time_, /*in_event=*/true);
-      L.model->block(e.block).on_event(ctx, e.event_in);
-    }
+    L.trace().record_event(time_, e.block, e.event_in);
+    L.on_event(e.block, e.event_in, time_);
     const std::span<const std::size_t> cone =
         opts_.base.full_refresh
             ? std::span<const std::size_t>(compiled_->eval_order())
             : compiled_->cone(e.block);
-    if (!cone.empty()) refresh_lane(L, cone, time_);
+    if (!cone.empty()) L.refresh(cone, time_);
     if (++L.events > max_events) {
       throw std::runtime_error(
           "BatchedSim: max_events exceeded (runaway loop?)");
@@ -504,9 +397,7 @@ void BatchedSim::execute_uniform(std::size_t block, std::size_t event_in,
   // The Lane host is used purely for emission routing (uniform_mask_ makes
   // lane_collect broadcast); the contract forbids every other Context use.
   uniform_mask_ = mask;
-  Lane& rep = *lanes_[0];
-  Context ctx(&rep, block, time_, /*in_event=*/true);
-  rep.model->block(block).on_event(ctx, event_in);
+  lanes_[0]->on_event(block, event_in, time_);
   uniform_mask_ = 0;
   if (uniform_class_[block] == 1) lockstep_armed_[block] = 1;
 }
@@ -532,13 +423,13 @@ void BatchedSim::record_uniform_run(std::size_t begin, std::size_t end) {
     const std::uint64_t bit = std::uint64_t{1} << l;
     Lane& L = *lanes_[l];
     if ((covered & bit) != 0) {
-      L.trace.append_events(run_records_);
+      L.trace().append_events(run_records_);
       L.events += run_records_.size();
     } else {
       for (std::size_t i = begin; i < end; ++i) {
         const InstEntry& e = instant_q_[i];
         if ((e.mask & bit) == 0) continue;
-        L.trace.record_event(time_, e.block, e.event_in);
+        L.trace().record_event(time_, e.block, e.event_in);
         ++L.events;
       }
     }
@@ -636,9 +527,9 @@ void BatchedSim::evict_lanes(std::uint64_t mask) {
 void BatchedSim::run_spill(Lane& lane) {
   SimOptions so = opts_.base;
   so.seed = lane.seed;
-  Simulator sim(*lane.model, so);
+  Simulator sim(lane.model(), so);
   sim.run();
-  lane.trace = sim.trace();
+  lane.trace() = sim.trace();
   lane.events = sim.events_dispatched();
 }
 
@@ -659,7 +550,6 @@ void BatchedSim::run(std::span<const std::uint64_t> seeds) {
   }
   uniform_mask_ = 0;
   lane_active_ = false;
-  in_integration_ = false;
   live_mask_ = active_ == 64 ? ~std::uint64_t{0}
                              : ((std::uint64_t{1} << active_) - 1);
 
@@ -667,15 +557,11 @@ void BatchedSim::run(std::span<const std::uint64_t> seeds) {
   for (std::size_t l = 0; l < active_; ++l) {
     Lane& L = *lanes_[l];
     L.seed = seeds[l];
-    L.rng = math::Rng(seeds[l]);
-    L.x.assign(total_state, 0.0);
-    L.active_x = L.x.data();
-    L.iws.resize(total_state);
-    L.trace.clear();
-    L.trace.reserve(opts_.base.reserve_events, opts_.base.reserve_signals);
+    L.reset(seeds[l], total_state);
+    L.trace().clear();
+    L.trace().reserve(opts_.base.reserve_events, opts_.base.reserve_signals);
     L.events = 0;
     L.evicted = false;
-    std::fill(L.arena.begin(), L.arena.end(), 0.0);
   }
 
   // Initialize block-by-block across lanes, flushing emissions per block so
@@ -684,29 +570,33 @@ void BatchedSim::run(std::span<const std::uint64_t> seeds) {
   const std::size_t num_blocks = compiled_->num_blocks();
   for (std::size_t b = 0; b < num_blocks; ++b) {
     for (std::size_t l = 0; l < active_; ++l) {
-      Lane& L = *lanes_[l];
       begin_collect(l, l == 0);
-      Context ctx(&L, b, 0.0, /*in_event=*/true);
-      L.model->block(b).initialize(ctx);
+      lanes_[l]->initialize(b);
       end_collect(l);
     }
     flush_collected();
   }
   for (std::size_t l = 0; l < active_; ++l) {
-    refresh_lane(*lanes_[l], compiled_->eval_order(), 0.0);
+    lanes_[l]->refresh(compiled_->eval_order(), 0.0);
   }
 
   const Time t_end = opts_.base.end_time;
+  const auto pop_instant = [this] {
+    batch_.clear();
+    const Time t = queue_.top().time;
+    MaskedEvent e;
+    while (queue_.pop_next_at(t, e)) batch_.push_back(e);
+  };
   while (live_mask_ != 0) {
     // Entries owned solely by evicted lanes are dead — drop them before
     // reading the next event time.
-    while (!queue_.empty() && (queue_.front().mask & live_mask_) == 0) {
+    while (!queue_.empty() && (queue_.top().mask & live_mask_) == 0) {
       queue_.pop_top();
     }
     Time t_next = t_end;
     bool have_event = false;
-    if (!queue_.empty() && queue_.next_time() <= t_end) {
-      t_next = queue_.next_time();
+    if (!queue_.empty() && queue_.top().time <= t_end) {
+      t_next = queue_.top().time;
       have_event = true;
     }
     bool popped = false;
@@ -717,8 +607,7 @@ void BatchedSim::run(std::span<const std::uint64_t> seeds) {
           // at t_next would integrate THROUGH it scalar-side, and splitting
           // its RK interval here would change rounding. Evict stragglers to
           // the scalar spill before stepping the rest.
-          batch_.clear();
-          queue_.pop_simultaneous(batch_);
+          pop_instant();
           popped = true;
           std::uint64_t boundary = 0;
           for (const MaskedEvent& e : batch_) boundary |= e.mask;
@@ -730,14 +619,11 @@ void BatchedSim::run(std::span<const std::uint64_t> seeds) {
       }
       time_ = t_next;
       for (std::uint64_t bits = live_mask_; bits != 0; bits &= bits - 1) {
-        refresh_dynamic_lane(*lanes_[std::countr_zero(bits)], time_);
+        lanes_[std::countr_zero(bits)]->refresh(dynamic_order(), time_);
       }
     }
     if (!have_event) break;
-    if (!popped) {
-      batch_.clear();
-      queue_.pop_simultaneous(batch_);
-    }
+    if (!popped) pop_instant();
     dispatch_instant();
   }
 

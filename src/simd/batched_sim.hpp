@@ -10,10 +10,11 @@
 // per-lane trace records — on event-dominated diagrams that is most of the
 // dispatch work.
 //
-// Layout: each lane owns a full scalar arena (the CompiledModel offsets are
-// shared — one compile for the whole batch) plus its own continuous state,
-// Rng and Trace. Lanes therefore see bit-for-bit the scalar memory layout,
-// and every Block runs unchanged through the ExecHost indirection
+// Layout: each lane is the scalar loop's interpreted block host
+// (sim::BlockHost: a full scalar arena over the shared CompiledModel offsets
+// — one compile for the whole batch — plus its own continuous state, Rng
+// and Trace). Lanes therefore see bit-for-bit the scalar memory layout, and
+// every Block runs unchanged through the ExecHost indirection
 // (sim/block.hpp). RK4 stage arithmetic additionally runs lockstep across
 // each lane's state vector through the pack<W> kernels.
 //
@@ -43,9 +44,9 @@ namespace ecsim::sim {
 struct BatchedOptions {
   /// Per-trial options (horizon, integrator, refresh mode, reserves). The
   /// seed field is ignored — seeds are per-lane arguments to run(). The
-  /// obs hooks (tracer/metrics) and the legacy_* bench cost models are not
-  /// routed into the batched driver; spill-lane reruns drop them too so a
-  /// spilled trial stays bit-identical to its lockstep siblings.
+  /// obs hooks (tracer/metrics) are not routed into the batched driver;
+  /// spill-lane reruns drop them too so a spilled trial stays bit-identical
+  /// to its lockstep siblings.
   SimOptions base;
   /// Number of lanes; 0 picks simd::preferred_batch_width(). Capped at 64
   /// (masks are one uint64_t).
@@ -84,7 +85,7 @@ class BatchedSim {
   const CompiledModel& compiled() const { return *compiled_; }
 
  private:
-  struct Lane;  // per-lane ExecHost: arena, state, rng, trace (in the .cpp)
+  struct Lane;  // per-lane BlockHost (in the .cpp)
 
   /// A scheduled activation shared by every lane whose bit is set in `mask`.
   struct MaskedEvent {
@@ -116,31 +117,6 @@ class BatchedSim {
     std::uint64_t mask;
   };
 
-  /// The scalar EventQueue's flat 4-ary heap with a mask per entry; same
-  /// (time, seq) FIFO tie order, so each lane's subsequence pops in exactly
-  /// the order its scalar run would.
-  class MaskedQueue {
-   public:
-    bool empty() const { return heap_.empty(); }
-    Time next_time() const { return heap_.front().time; }
-    const MaskedEvent& front() const { return heap_.front(); }
-    void reserve(std::size_t n) { heap_.reserve(n); }
-    void clear() {
-      heap_.clear();
-      next_seq_ = 0;
-    }
-    void push(Time t, std::size_t block, std::size_t event_in,
-              std::uint64_t mask);
-    MaskedEvent pop_top();
-    /// Pop every entry tied at the front time, in (time, seq) order.
-    void pop_simultaneous(std::vector<MaskedEvent>& out);
-
-   private:
-    void sift_down(std::size_t i);
-    std::vector<MaskedEvent> heap_;
-    std::uint64_t next_seq_ = 0;
-  };
-
   void lane_collect(std::size_t lane, Time at, std::size_t block,
                     std::size_t event_in);
   void begin_collect(std::size_t lane, bool first);
@@ -154,8 +130,7 @@ class BatchedSim {
   void record_uniform_run(std::size_t begin, std::size_t end);
   void dispatch_lane_turn(std::size_t lane, bool first, std::size_t begin,
                           std::size_t end);
-  void refresh_lane(Lane& lane, std::span<const std::size_t> order, Time t);
-  void refresh_dynamic_lane(Lane& lane, Time t);
+  std::span<const std::size_t> dynamic_order() const;
   void eval_derivatives_lane(Lane& lane, Time t, const std::vector<double>& x,
                              std::vector<double>& dx);
   void integrate_lanes(Time t0, Time t1);
@@ -178,8 +153,10 @@ class BatchedSim {
   std::size_t cmp_pos_ = 0;
   std::uint64_t matched_mask_ = 0;
   std::uint64_t diverged_mask_ = 0;
-  MaskedQueue queue_;
-  std::vector<MaskedEvent> batch_;    // pop_simultaneous output, reused
+  // The scalar EventQueue's heap with a mask per entry: same (time, seq)
+  // FIFO order, so each lane's subsequence pops in its scalar run's order.
+  QuadHeap<MaskedEvent> queue_;
+  std::vector<MaskedEvent> batch_;    // the current instant's entries, reused
   std::vector<InstEntry> instant_q_;  // current instant's work list, reused
   std::vector<EventRecord> run_records_;  // uniform run's records, reused
   // Uniform-dispatch classification (DESIGN.md §3.8): 0 varying, 1 lockstep,
@@ -191,7 +168,6 @@ class BatchedSim {
   std::vector<std::uint8_t> lockstep_armed_;  // shared object has advanced
   std::uint64_t uniform_mask_ = 0;  // nonzero while routing a uniform dispatch
   bool lane_active_ = false;
-  bool in_integration_ = false;
   Time time_ = 0.0;
   std::uint64_t live_mask_ = 0;
   std::size_t active_ = 0;

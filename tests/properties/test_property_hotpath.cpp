@@ -1,14 +1,9 @@
-// Properties of the PR-4 hot path (DESIGN.md §3.4).
-//
-// 1. The flat 4-ary EventQueue is a drop-in replacement for the original
-//    std::priority_queue: under random interleaved push/pop sequences it
-//    must yield the exact same (time, seq) order — in particular the FIFO
-//    tie-break among simultaneous events — in both the quaternary and the
-//    legacy-binary heap mode.
-// 2. The allocation-free steady state (workspace integrator + batched
-//    queue) is purely an implementation change: for random hybrid block
-//    diagrams the traces must be bit-identical to the legacy allocating
-//    paths (SimOptions::legacy_integrator_alloc / legacy_event_queue).
+// Properties of the hot-path event queue (DESIGN.md §3.4): the flat 4-ary
+// EventQueue is a drop-in replacement for a std::priority_queue. Under
+// random interleaved push/pop sequences it must yield the exact same
+// (time, seq) order — in particular the FIFO tie-break among simultaneous
+// events — and draining an instant with pop_next_at must be identical to
+// popping one event at a time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,10 +12,7 @@
 #include <vector>
 
 #include "mathlib/rng.hpp"
-#include "random_graphs.hpp"
-#include "sim/compiled_model.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/simulator.hpp"
 
 namespace ecsim::sim {
 namespace {
@@ -58,112 +50,66 @@ bool same_event(const ScheduledEvent& a, const ScheduledEvent& b) {
 class HotPathProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HotPathProperty, HeapMatchesPriorityQueueOracleUnderRandomTraffic) {
-  for (const EventQueue::Impl impl :
-       {EventQueue::Impl::kQuad, EventQueue::Impl::kLegacyBinary}) {
-    math::Rng rng(GetParam());
-    EventQueue q;
-    q.set_impl(impl);
-    OracleQueue oracle;
-    // Random interleaving, biased toward pushes so the heaps grow deep, with
-    // a coarse time grid so simultaneous events (the FIFO-sensitive case)
-    // are common.
-    for (int op = 0; op < 20'000; ++op) {
-      const bool do_push = q.empty() || rng.uniform() < 0.55;
-      if (do_push) {
-        const Time t = static_cast<Time>(rng.uniform_int(0, 63)) * 0.125;
-        const std::size_t block = static_cast<std::size_t>(rng.uniform_int(0, 9));
-        const std::size_t port = static_cast<std::size_t>(rng.uniform_int(0, 2));
-        q.push(t, block, port);
-        oracle.push(t, block, port);
-      } else {
-        ASSERT_FALSE(oracle.empty());
-        const ScheduledEvent got = q.pop();
-        const ScheduledEvent want = oracle.pop();
-        ASSERT_TRUE(same_event(got, want))
-            << "op " << op << ": heap gave (t=" << got.time
-            << ", seq=" << got.seq << ", block=" << got.block
-            << ") oracle wanted (t=" << want.time << ", seq=" << want.seq
-            << ", block=" << want.block << ")";
-      }
+  math::Rng rng(GetParam());
+  EventQueue q;
+  OracleQueue oracle;
+  // Random interleaving, biased toward pushes so the heaps grow deep, with
+  // a coarse time grid so simultaneous events (the FIFO-sensitive case)
+  // are common.
+  for (int op = 0; op < 20'000; ++op) {
+    const bool do_push = q.empty() || rng.uniform() < 0.55;
+    if (do_push) {
+      const Time t = static_cast<Time>(rng.uniform_int(0, 63)) * 0.125;
+      const std::size_t block = static_cast<std::size_t>(rng.uniform_int(0, 9));
+      const std::size_t port = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      q.push(t, block, port);
+      oracle.push(t, block, port);
+    } else {
+      ASSERT_FALSE(oracle.empty());
+      const ScheduledEvent got = q.pop();
+      const ScheduledEvent want = oracle.pop();
+      ASSERT_TRUE(same_event(got, want))
+          << "op " << op << ": heap gave (t=" << got.time
+          << ", seq=" << got.seq << ", block=" << got.block
+          << ") oracle wanted (t=" << want.time << ", seq=" << want.seq
+          << ", block=" << want.block << ")";
     }
-    // Drain: the tails must agree element for element too.
-    while (!oracle.empty()) {
-      ASSERT_FALSE(q.empty());
-      ASSERT_TRUE(same_event(q.pop(), oracle.pop()));
-    }
-    EXPECT_TRUE(q.empty());
   }
+  // Drain: the tails must agree element for element too.
+  while (!oracle.empty()) {
+    ASSERT_FALSE(q.empty());
+    ASSERT_TRUE(same_event(q.pop(), oracle.pop()));
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 TEST_P(HotPathProperty, BatchedPopMatchesOneAtATimePopping) {
-  // pop_simultaneous must be observationally identical to popping until the
-  // head time changes.
+  // Draining each instant with pop_next_at (the hybrid loop's drain) must
+  // be observationally identical to popping until the head time changes.
   math::Rng rng(GetParam() * 3 + 1);
-  EventQueue batched;
+  EventQueue drained;
   EventQueue single;
   for (int i = 0; i < 5'000; ++i) {
     const Time t = static_cast<Time>(rng.uniform_int(0, 31)) * 0.25;
     const std::size_t block = static_cast<std::size_t>(rng.uniform_int(0, 7));
-    batched.push(t, block, 0);
+    drained.push(t, block, 0);
     single.push(t, block, 0);
   }
-  std::vector<ScheduledEvent> batch;
-  while (!batched.empty()) {
-    batch.clear();
-    batched.pop_simultaneous(batch);
-    ASSERT_FALSE(batch.empty());
-    for (const ScheduledEvent& e : batch) {
+  ScheduledEvent e;
+  while (!drained.empty()) {
+    const Time now = drained.next_time();
+    std::size_t count = 0;
+    while (drained.pop_next_at(now, e)) {
       ASSERT_FALSE(single.empty());
       ASSERT_TRUE(same_event(e, single.pop()));
+      ++count;
     }
-    if (!single.empty() && !batch.empty()) {
-      EXPECT_NE(single.next_time(), batch.front().time);
+    ASSERT_GT(count, 0u);
+    if (!single.empty()) {
+      EXPECT_NE(single.next_time(), now);
     }
   }
   EXPECT_TRUE(single.empty());
-}
-
-Trace run_variant(const CompiledModel& compiled, SimOptions opts,
-                  bool legacy_integrator, bool legacy_queue) {
-  opts.legacy_integrator_alloc = legacy_integrator;
-  opts.legacy_event_queue = legacy_queue;
-  Simulator s(compiled, opts);
-  return s.run();
-}
-
-TEST_P(HotPathProperty, HotPathTraceBitIdenticalToLegacyAllocatingPaths) {
-  // Same oracle harness as the PR-1 cone-refresh equivalence suite: random
-  // hybrid diagrams, both integrators, traces compared with operator== (ulp
-  // exact). The hot path may not change a single bit of observable output.
-  math::Rng rng(GetParam() * 17 + 5);
-  for (int trial = 0; trial < 3; ++trial) {
-    Model m = ecsim::testing::random_block_model(rng);
-    const CompiledModel compiled(m);
-
-    SimOptions opts;
-    opts.end_time = 0.8;
-    opts.seed = GetParam() * 131 + static_cast<std::uint64_t>(trial);
-    if (trial == 1) {
-      opts.integrator.kind = IntegratorKind::kRkf45;
-      opts.integrator.max_step = 5e-3;
-    }
-
-    const Trace hot = run_variant(compiled, opts, false, false);
-    ASSERT_FALSE(hot.events().empty());
-    const Trace legacy_integ = run_variant(compiled, opts, true, false);
-    const Trace legacy_queue = run_variant(compiled, opts, false, true);
-    const Trace legacy_both = run_variant(compiled, opts, true, true);
-
-    EXPECT_TRUE(hot == legacy_integ)
-        << "legacy_integrator_alloc diverged (seed " << GetParam()
-        << ", trial " << trial << ")";
-    EXPECT_TRUE(hot == legacy_queue)
-        << "legacy_event_queue diverged (seed " << GetParam() << ", trial "
-        << trial << ")";
-    EXPECT_TRUE(hot == legacy_both)
-        << "combined legacy paths diverged (seed " << GetParam() << ", trial "
-        << trial << ")";
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HotPathProperty,

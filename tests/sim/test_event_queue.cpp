@@ -63,13 +63,15 @@ TEST(EventQueue, CarriesEventPort) {
 }
 
 TEST(EventQueue, PopSimultaneousDrainsExactlyTheTies) {
+  // Draining one instant with pop_next_at, as the hybrid loop does.
   EventQueue q;
   q.push(1.0, 0, 0);
   q.push(2.0, 9, 0);
   q.push(1.0, 1, 0);
   q.push(1.0, 2, 0);
   std::vector<ScheduledEvent> out;
-  EXPECT_EQ(q.pop_simultaneous(out), 3u);
+  ScheduledEvent e;
+  while (q.pop_next_at(1.0, e)) out.push_back(e);
   ASSERT_EQ(out.size(), 3u);
   // FIFO among the ties, exactly like popping one at a time.
   EXPECT_EQ(out[0].block, 0u);
@@ -77,12 +79,13 @@ TEST(EventQueue, PopSimultaneousDrainsExactlyTheTies) {
   EXPECT_EQ(out[2].block, 2u);
   EXPECT_EQ(q.size(), 1u);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
-  // Appends to `out` rather than clearing it.
-  EXPECT_EQ(q.pop_simultaneous(out), 1u);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[3].block, 9u);
+  // A later head is left in place; an empty queue just reports false.
+  EXPECT_FALSE(q.pop_next_at(1.0, e));
+  EXPECT_EQ(q.size(), 1u);
+  ASSERT_TRUE(q.pop_next_at(2.0, e));
+  EXPECT_EQ(e.block, 9u);
   EXPECT_TRUE(q.empty());
-  EXPECT_THROW(q.pop_simultaneous(out), std::logic_error);
+  EXPECT_FALSE(q.pop_next_at(2.0, e));
 }
 
 TEST(EventQueue, ReservePreventsSteadyStateReallocation) {
@@ -126,32 +129,6 @@ TEST(EventQueue, ClearOnMillionEventQueueIsNearInstant) {
   // Sequence numbers restart, so FIFO order is reproducible run-to-run.
   q.push(1.0, 42, 0);
   EXPECT_EQ(q.pop().seq, 0u);
-}
-
-TEST(EventQueue, SetImplRequiresEmptyQueue) {
-  EventQueue q;
-  EXPECT_EQ(q.impl(), EventQueue::Impl::kQuad);
-  q.push(1.0, 0, 0);
-  EXPECT_THROW(q.set_impl(EventQueue::Impl::kLegacyBinary), std::logic_error);
-  q.set_impl(EventQueue::Impl::kQuad);  // no-op on the current impl is fine
-  q.clear();
-  q.set_impl(EventQueue::Impl::kLegacyBinary);
-  EXPECT_EQ(q.impl(), EventQueue::Impl::kLegacyBinary);
-}
-
-TEST(EventQueue, LegacyBinaryModeKeepsOrderAndFifo) {
-  EventQueue q;
-  q.set_impl(EventQueue::Impl::kLegacyBinary);
-  q.push(2.0, 0, 0);
-  q.push(1.0, 1, 0);
-  q.push(1.0, 2, 0);
-  q.push(3.0, 3, 0);
-  EXPECT_EQ(q.pop().block, 1u);
-  EXPECT_EQ(q.pop().block, 2u);
-  std::vector<ScheduledEvent> out;
-  EXPECT_EQ(q.pop_simultaneous(out), 1u);
-  EXPECT_EQ(out[0].block, 0u);
-  EXPECT_EQ(q.pop().block, 3u);
 }
 
 }  // namespace

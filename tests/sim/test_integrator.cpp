@@ -8,7 +8,7 @@ namespace ecsim::sim {
 namespace {
 
 // dx/dt = -x, x(0) = 1 -> x(t) = e^{-t}
-const DerivFn kDecay = [](Time, const std::vector<double>& x,
+const auto kDecay = [](Time, const std::vector<double>& x,
                           std::vector<double>& dx) { dx[0] = -x[0]; };
 
 TEST(Integrator, Rk4Accuracy) {
@@ -41,7 +41,7 @@ TEST(Integrator, Rkf45AdaptsAndMeetsTolerance) {
 }
 
 TEST(Integrator, HarmonicOscillatorEnergyPreserved) {
-  const DerivFn osc = [](Time, const std::vector<double>& x,
+  const auto osc = [](Time, const std::vector<double>& x,
                          std::vector<double>& dx) {
     dx[0] = x[1];
     dx[1] = -x[0];
@@ -56,7 +56,7 @@ TEST(Integrator, HarmonicOscillatorEnergyPreserved) {
 
 TEST(Integrator, TimeDependentDerivative) {
   // dx/dt = t -> x(T) = T^2/2
-  const DerivFn ramp = [](Time t, const std::vector<double>&,
+  const auto ramp = [](Time t, const std::vector<double>&,
                           std::vector<double>& dx) { dx[0] = t; };
   IntegratorOptions opts;
   opts.max_step = 1e-2;
@@ -98,8 +98,6 @@ TEST(Integrator, Rkf45BackwardIntervalThrows) {
   opts.kind = IntegratorKind::kRkf45;
   std::vector<double> x{1.0};
   EXPECT_THROW(integrate(opts, kDecay, 1.0, 0.0, x), std::invalid_argument);
-  EXPECT_THROW(integrate_legacy_alloc(opts, kDecay, 1.0, 0.0, x),
-               std::invalid_argument);
 }
 
 TEST(Integrator, Rkf45ForcedAcceptAtMinStepMakesProgress) {
@@ -124,7 +122,7 @@ TEST(Integrator, Rkf45ZeroErrorEstimateGrowsStepAndCompletes) {
   // scaled error is 0.0. The controller must treat that as "grow by the
   // cap" (the old code computed the growth factor from a stale err value);
   // either way the run must terminate quickly with the state untouched.
-  const DerivFn zero = [](Time, const std::vector<double>&,
+  const auto zero = [](Time, const std::vector<double>&,
                           std::vector<double>& dx) { dx[0] = 0.0; };
   IntegratorOptions opts;
   opts.kind = IntegratorKind::kRkf45;
@@ -138,7 +136,7 @@ TEST(Integrator, MinStepClampKeepsStepAboveFloor) {
   // A violently stiff interval start: the controller shrinks h, but the
   // min_step clamp must keep it from collapsing to denormal sizes — the run
   // completes in bounded work because h >= min_step always.
-  const DerivFn stiff = [](Time, const std::vector<double>& x,
+  const auto stiff = [](Time, const std::vector<double>& x,
                            std::vector<double>& dx) { dx[0] = -1e6 * x[0]; };
   IntegratorOptions opts;
   opts.kind = IntegratorKind::kRkf45;
@@ -163,12 +161,11 @@ TEST(IntegratorWorkspace, ResizeGrowsOnceAndIsIdempotent) {
   EXPECT_EQ(ws.k1.data(), k1);
 }
 
-TEST(Integrator, WorkspacePathMatchesLegacyBitExact) {
-  // The workspace/function_ref path and the legacy allocating path must
-  // produce byte-identical states: same stage kernels, same accumulation
-  // order, only the buffer ownership differs.
-  const DerivFn osc = [](Time, const std::vector<double>& x,
-                         std::vector<double>& dx) {
+TEST(Integrator, ReusedWorkspaceMatchesFreshWorkspaceBitExact) {
+  // A warmed workspace carries nothing between intervals: integrating with
+  // it must give the bytes a throwaway workspace gives.
+  const auto osc = [](Time, const std::vector<double>& x,
+                      std::vector<double>& dx) {
     dx[0] = x[1];
     dx[1] = -x[0] - 0.3 * x[1];
   };
@@ -177,19 +174,15 @@ TEST(Integrator, WorkspacePathMatchesLegacyBitExact) {
     IntegratorOptions opts;
     opts.kind = kind;
     opts.max_step = 7e-3;
-    std::vector<double> x_ws{1.0, 0.5};
-    std::vector<double> x_legacy = x_ws;
     IntegratorWorkspace ws;
-    integrate(opts, osc, 0.0, 1.7, x_ws, ws);
-    integrate_legacy_alloc(opts, osc, 0.0, 1.7, x_legacy);
-    EXPECT_EQ(x_ws, x_legacy);  // bitwise, not approximate
+    std::vector<double> warm{1.0, 0.5};
+    integrate(opts, osc, 0.0, 1.7, warm, ws);
 
-    // Reusing the warmed workspace for a second interval stays identical.
-    std::vector<double> x_ws2{1.0, 0.5};
-    std::vector<double> x_legacy2 = x_ws2;
-    integrate(opts, osc, 0.3, 2.0, x_ws2, ws);
-    integrate_legacy_alloc(opts, osc, 0.3, 2.0, x_legacy2);
-    EXPECT_EQ(x_ws2, x_legacy2);
+    std::vector<double> x_ws{1.0, 0.5};
+    std::vector<double> x_fresh = x_ws;
+    integrate(opts, osc, 0.3, 2.0, x_ws, ws);
+    integrate(opts, osc, 0.3, 2.0, x_fresh);
+    EXPECT_EQ(x_ws, x_fresh);  // bitwise, not approximate
   }
 }
 
