@@ -61,7 +61,7 @@ done
 
 # --- 3. option-struct members --------------------------------------------
 declare -A HEADER=(
-  [SimOptions]=src/sim/simulator.hpp
+  [SimOptions]=src/sim/hybrid_loop.hpp
   [VmOptions]=src/exec/executive_vm.hpp
 )
 doc_refs=$(grep -rhoE "(SimOptions|VmOptions)::[a-zA-Z_]+" "${DOCS[@]}" |

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI codegen job (DESIGN.md §3.6): the native code-generation backend must
 #   1. pass the IR determinism suite (round-trip, hash stability, committed
-#      golden) and the interp-vs-native bit-identity property suite;
+#      golden), the interp-vs-native bit-identity property suite and the
+#      golden trace-digest table of the shared hybrid-event loop;
 #   2. byte-reproduce the committed golden IR through the CLI;
 #   3. hold the EXP-P6 perf guard (native >= 1.5x interpreter events/s on
 #      chains_200, traces identical), run via `ctest -C bench`;
@@ -19,11 +20,11 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "${JOBS}" \
-  --target test_ir test_backend bench_p6_codegen ecsim_flow
+  --target test_ir test_backend test_sim_golden bench_p6_codegen ecsim_flow
 
-# 1. IR determinism + backend bit-identity property suites.
-ctest --test-dir "${build_dir}" --output-on-failure \
-  -R "IrRoundtrip|IrHash|IrGolden|NativeBackend|CosimBackend"
+# 1. IR determinism, backend bit-identity and golden trace-digest suites.
+ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}" \
+  -R "IrRoundtrip|IrHash|IrGolden|NativeBackend|CosimBackend|SimGolden"
 
 # 2. The CLI reproduces the committed golden byte for byte.
 "${build_dir}/tools/ecsim_flow" ir dump --example=servo |

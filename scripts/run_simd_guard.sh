@@ -3,12 +3,13 @@
 #   1. hold every lane's trace bit-identical to the scalar Simulator under
 #      the native ISA build (-DECSIM_SIMD=avx2, or sse2 when the host lacks
 #      AVX2) — pack kernels, BatchedSim suites, lane-RNG and MC invariance
-#      properties;
+#      properties, and the golden trace-digest table (every driver of the
+#      shared hybrid-event loop, lanes at W=1 and W=8 included);
 #   2. hold the EXP-P8 perf guard (batched >= 2x scalar trials/s on
 #      chains_200, digests identical), run via `ctest -C bench` on the ISA
 #      build — BENCH_p8.json lands in the build dir;
-#   3. pass the same identity suites on the portable scalar build (the
-#      intrinsics and the fallback must agree bit for bit);
+#   3. pass the same identity suites and the golden table on the portable
+#      scalar build (the intrinsics and the fallback must agree bit for bit);
 #   4. pass them again under ASan+UBSan on the scalar build (the masked
 #      queue, arena and spill paths are pointer-heavy).
 #
@@ -23,7 +24,8 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 # Individual gtest cases are registered with ctest under their suite names.
 lane_suites='^(PackTest|BatchedSimTest|SimdLaneProperty|Rng|SimMonteCarlo)\.'
-targets=(test_simd test_properties test_par test_mathlib)
+targets=(test_simd test_properties test_par test_mathlib test_sim_golden)
+golden='^Inputs/SimGolden\.'
 
 isa=avx2
 if ! grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
@@ -37,6 +39,7 @@ cmake -S "${repo_root}" -B "${isa_dir}" -DCMAKE_BUILD_TYPE=Release \
 cmake --build "${isa_dir}" -j "${JOBS}" \
   --target "${targets[@]}" bench_p8_simd_mc
 ctest --test-dir "${isa_dir}" --output-on-failure -R "${lane_suites}"
+ctest --test-dir "${isa_dir}" --output-on-failure -j "${JOBS}" -R "${golden}"
 
 # 2. EXP-P8 perf guard on the ISA build (writes BENCH_p8.json there).
 ctest --test-dir "${isa_dir}" -C bench -R bench_p8_simd_mc_guard \
@@ -47,6 +50,7 @@ cmake -S "${repo_root}" -B "${scalar_dir}" -DCMAKE_BUILD_TYPE=Release \
   -DECSIM_SIMD=scalar
 cmake --build "${scalar_dir}" -j "${JOBS}" --target "${targets[@]}"
 ctest --test-dir "${scalar_dir}" --output-on-failure -R "${lane_suites}"
+ctest --test-dir "${scalar_dir}" --output-on-failure -j "${JOBS}" -R "${golden}"
 
 # 4. Scalar build under ASan+UBSan.
 cmake -S "${repo_root}" -B "${asan_dir}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

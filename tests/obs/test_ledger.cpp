@@ -422,6 +422,32 @@ TEST(LedgerDiffTest, GatesMonteCarloThroughputAgainstCommittedFigure) {
   EXPECT_DOUBLE_EQ(d2.latest_trials_per_s, 950.0);  // newest MC record wins
 }
 
+TEST(LedgerDiffTest, GatesInterpreterBestEventsFigure) {
+  // EXP-P4 commits the interpreter's hot-path figure as best_events_per_s
+  // (the first chains_200 entry); the same 10% gate applies to it.
+  const std::string bench =
+      "{\n"
+      "  \"model_ir_hash_chains_200\": \"0xp4\",\n"
+      "  \"hot_path\": [\n"
+      "    {\"scenario\": \"chains_200\", \"mode\": \"hot\", "
+      "\"best_events_per_s\": 2e7},\n"
+      "    {\"scenario\": \"servo_rk4\", \"best_events_per_s\": 1.0}\n"
+      "  ]\n"
+      "}\n";
+  LedgerRecord rec = sample_record();
+  rec.ir_hash = "0xp4";
+  rec.trials_per_s = 0.0;
+  rec.events_per_s = 1.7e7;  // 15% below
+  const LedgerDiff slow =
+      diff_latest_against_bench({rec}, bench, "chains_200", 10.0);
+  EXPECT_TRUE(slow.comparable);
+  EXPECT_TRUE(slow.regression);
+  EXPECT_DOUBLE_EQ(slow.committed_events_per_s, 2e7);
+  rec.events_per_s = 1.9e7;  // 5% below
+  EXPECT_FALSE(
+      diff_latest_against_bench({rec}, bench, "chains_200", 10.0).regression);
+}
+
 TEST(LedgerDiffTest, PerScenarioFiguresDoNotBleedAcrossEntries) {
   // chains_200's entry carries no committed figure at all; the servo entry
   // after it does. The lookup must not pick servo's figure up.
