@@ -8,12 +8,6 @@
 
 namespace ecsim::sim {
 
-// The masked queue is the scalar EventQueue's QuadHeap with a lane mask per
-// entry. (time, seq) stays a strict total order: each lane's entries pop in
-// exactly the relative order its scalar run would pop them, because a lane's
-// pushes happen in the same per-lane order under the batched driver and the
-// shared seq counter is monotone over pushes.
-
 // ---- Lane --------------------------------------------------------------------
 // One trial: the scalar loop's block host (arena, state, rng, trace and the
 // ctx_* accessors Block code reaches through Context) with emissions routed
@@ -266,12 +260,6 @@ std::span<const std::size_t> BatchedSim::dynamic_order() const {
              : compiled_->dynamic_cone();
 }
 
-void BatchedSim::eval_derivatives_lane(Lane& lane, Time t,
-                                       const std::vector<double>& x,
-                                       std::vector<double>& dx) {
-  evaluate_derivatives(lane, t, x, dx, dynamic_order());
-}
-
 // Lockstep RK4: the shared stepper walks ONE (t, h) sequence; stage
 // arithmetic runs through the pack<W> kernels whose operand grouping matches
 // integrator.cpp's rk4_step exactly, so each lane's state advances by the
@@ -279,6 +267,7 @@ void BatchedSim::eval_derivatives_lane(Lane& lane, Time t,
 void BatchedSim::rk4_lockstep(Time t0, Time t1) {
   const std::size_t n = compiled_->total_state();
   const double max_step = opts_.base.integrator.max_step;
+  const std::span<const std::size_t> dyn = dynamic_order();
   Time t = t0;
   while (t < t1) {
     const double h = std::min(max_step, t1 - t);
@@ -286,24 +275,24 @@ void BatchedSim::rk4_lockstep(Time t0, Time t1) {
     const double h6 = h / 6.0;
     for (std::uint64_t bits = live_mask_; bits != 0; bits &= bits - 1) {
       Lane& L = *lanes_[std::countr_zero(bits)];
-      eval_derivatives_lane(L, t, L.x, L.iws.k1);
+      evaluate_derivatives(L, t, L.x, L.iws.k1, dyn);
       simd::axpy_stage(L.iws.tmp.data(), L.x.data(), half_h, L.iws.k1.data(),
                        n);
     }
     for (std::uint64_t bits = live_mask_; bits != 0; bits &= bits - 1) {
       Lane& L = *lanes_[std::countr_zero(bits)];
-      eval_derivatives_lane(L, t + 0.5 * h, L.iws.tmp, L.iws.k2);
+      evaluate_derivatives(L, t + 0.5 * h, L.iws.tmp, L.iws.k2, dyn);
       simd::axpy_stage(L.iws.tmp.data(), L.x.data(), half_h, L.iws.k2.data(),
                        n);
     }
     for (std::uint64_t bits = live_mask_; bits != 0; bits &= bits - 1) {
       Lane& L = *lanes_[std::countr_zero(bits)];
-      eval_derivatives_lane(L, t + 0.5 * h, L.iws.tmp, L.iws.k3);
+      evaluate_derivatives(L, t + 0.5 * h, L.iws.tmp, L.iws.k3, dyn);
       simd::axpy_stage(L.iws.tmp.data(), L.x.data(), h, L.iws.k3.data(), n);
     }
     for (std::uint64_t bits = live_mask_; bits != 0; bits &= bits - 1) {
       Lane& L = *lanes_[std::countr_zero(bits)];
-      eval_derivatives_lane(L, t + h, L.iws.tmp, L.iws.k4);
+      evaluate_derivatives(L, t + h, L.iws.tmp, L.iws.k4, dyn);
       simd::rk4_combine(L.x.data(), h6, L.iws.k1.data(), L.iws.k2.data(),
                         L.iws.k3.data(), L.iws.k4.data(), n);
     }
@@ -327,7 +316,7 @@ void BatchedSim::integrate_lanes(Time t0, Time t1) {
           opts_.base.integrator,
           [this, &L](Time t, const std::vector<double>& x,
                      std::vector<double>& dx) {
-            eval_derivatives_lane(L, t, x, dx);
+            evaluate_derivatives(L, t, x, dx, dynamic_order());
           },
           t0, t1, L.x, L.iws);
     }

@@ -131,8 +131,6 @@ class BatchedSim {
   void dispatch_lane_turn(std::size_t lane, bool first, std::size_t begin,
                           std::size_t end);
   std::span<const std::size_t> dynamic_order() const;
-  void eval_derivatives_lane(Lane& lane, Time t, const std::vector<double>& x,
-                             std::vector<double>& dx);
   void integrate_lanes(Time t0, Time t1);
   void rk4_lockstep(Time t0, Time t1);
   void evict_lanes(std::uint64_t mask);
@@ -153,8 +151,9 @@ class BatchedSim {
   std::size_t cmp_pos_ = 0;
   std::uint64_t matched_mask_ = 0;
   std::uint64_t diverged_mask_ = 0;
-  // The scalar EventQueue's heap with a mask per entry: same (time, seq)
-  // FIFO order, so each lane's subsequence pops in its scalar run's order.
+  // The scalar EventQueue's heap with a mask per entry. A lane's pushes
+  // happen in its scalar run's order and seq is shared and monotone, so each
+  // lane's subsequence pops in exactly its scalar run's (time, seq) order.
   QuadHeap<MaskedEvent> queue_;
   std::vector<MaskedEvent> batch_;    // the current instant's entries, reused
   std::vector<InstEntry> instant_q_;  // current instant's work list, reused
