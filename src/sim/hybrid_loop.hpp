@@ -216,7 +216,9 @@ class ObsSink {
     if (queue_hwm_ != nullptr) obs_.max(queue_hwm_, n);
   }
   void cone_size(std::size_t n) {
-    if (cone_sizes_ != nullptr) obs_.observe(cone_sizes_, static_cast<double>(n));
+    if (cone_sizes_ != nullptr) {
+      obs_.observe(cone_sizes_, static_cast<double>(n));
+    }
   }
   void evals(std::span<const std::size_t> order) {
     if (evals_ == nullptr) return;
@@ -236,11 +238,9 @@ class ObsSink {
   std::uint32_t n_run_ = 0, n_integrate_ = 0, n_cone_ = 0;
   std::uint32_t a_cone_size_ = 0, a_port_ = 0;
   std::vector<std::uint32_t> block_names_;
-  typename Obs::Counter events_ = nullptr;           // sim.events_dispatched
-  typename Obs::Counter evals_ = nullptr;            // sim.eval_calls
-  typename Obs::Gauge queue_hwm_ = nullptr;          // sim.queue_high_water
-  typename Obs::Histogram cone_sizes_ = nullptr;     // sim.cone_refresh_size
-  typename Obs::Histogram evals_per_block_ = nullptr;
+  typename Obs::Counter events_ = nullptr, evals_ = nullptr;
+  typename Obs::Gauge queue_hwm_ = nullptr;
+  typename Obs::Histogram cone_sizes_ = nullptr, evals_per_block_ = nullptr;
   std::vector<std::uint64_t> per_block_evals_;
 };
 
