@@ -398,8 +398,8 @@ void Emitter::emit_block(std::size_t i) {
     compute_ += "        std::span<double> y(a + " + out_off(0) + ", " +
                 lit(out_slice(i, 0).width) + ");\n";
     compute_ += "        ma::multiply_into(y, " + id +
-                "c, std::span<const double>(e.active_x + " + S + ", " + lit(n) +
-                "));\n";
+                "c, std::span<const double>(e.active_x + " + S + ", " +
+                lit(n) + "));\n";
     compute_ += "        ma::multiply_add_into(y, " + id +
                 "d, std::span<const double>(a + " + in_off(0) + ", " +
                 lit(in_slice(i, 0).width) + "));\n";
@@ -407,8 +407,8 @@ void Emitter::emit_block(std::size_t i) {
     deriv_ += "      case " + B + ": {\n";
     deriv_ += "        std::span<double> d(dx, " + lit(n) + ");\n";
     deriv_ += "        ma::multiply_into(d, " + id +
-              "a, std::span<const double>(e.active_x + " + S + ", " + lit(n) +
-              "));\n";
+              "a, std::span<const double>(e.active_x + " + S + ", " +
+              lit(n) + "));\n";
     deriv_ += "        ma::multiply_add_into(d, " + id +
               "b, std::span<const double>(a + " + in_off(0) + ", " +
               lit(in_slice(i, 0).width) + "));\n";
@@ -711,11 +711,12 @@ std::string Emitter::generate(const std::string& hash_hex) {
 // Unity-include the order-sensitive runtime kernels so -O3 inlines trace
 // recording, RNG and integrator straight into this module's instantiation of
 // the hybrid loop — the main throughput win over the interpreter, whose
-// calls to the same kernels stay behind a TU boundary. The kernels are compiled from
-// the same sources with the same flags, and no FMA contraction is enabled,
-// so the arithmetic stays bit-identical to the interpreter's. The runtime
-// archive remains on the link line purely as a lazy fallback: every symbol
-// defined here shadows its archive member, which is then never pulled in.
+// calls to the same kernels stay behind a TU boundary. The kernels are
+// compiled from the same sources with the same flags, and no FMA contraction
+// is enabled, so the arithmetic stays bit-identical to the interpreter's.
+// The runtime archive remains on the link line purely as a lazy fallback:
+// every symbol defined here shadows its archive member, which is then never
+// pulled in.
 #include "blocks/duration_spec.cpp"
 #include "fault/comm_gate.cpp"
 #include "mathlib/matrix.cpp"

@@ -287,7 +287,9 @@ struct TableObs {
                std::uint32_t arg_name, double arg) const {
     tab->instant(tracer, name, track, ts, arg_name, arg);
   }
-  Counter counter(const char* name) const { return tab->counter(metrics, name); }
+  Counter counter(const char* name) const {
+    return tab->counter(metrics, name);
+  }
   Gauge gauge(const char* name) const { return tab->gauge(metrics, name); }
   Histogram histogram(const char* name) const {
     return tab->histogram(metrics, name);
