@@ -20,12 +20,12 @@ namespace ecsim::sim {
 
 class Context;
 
-/// Backend a Context delegates to. The scalar Simulator implements it
-/// directly; the batched SIMD engine (src/simd/batched_sim.hpp) implements it
-/// once per lane, which is what lets unchanged Block code run under either
-/// driver. The virtual hop replaces what was already an out-of-line
-/// cross-TU call per Context operation, so the scalar hot path pays nothing
-/// measurable for the indirection.
+/// Backend a Context delegates to. sim::BlockHost (sim/simulator.hpp)
+/// implements it once per trial — for the scalar Simulator and for every lane
+/// of the batched SIMD engine (src/simd/batched_sim.hpp) — which is what lets
+/// unchanged Block code run under either driver. The virtual hop replaces
+/// what was already an out-of-line cross-TU call per Context operation, so
+/// the scalar hot path pays nothing measurable for the indirection.
 class ExecHost {
  public:
   virtual ~ExecHost() = default;
