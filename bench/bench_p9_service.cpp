@@ -155,10 +155,10 @@ WorkloadResult run_workload(svc::Client& client) {
     bool ok = false;
     if (req.verb == svc::Verb::kFaultSweep) {
       std::vector<sweep::FaultCell> cells;
-      ok = remote_fault_sweep(client, req, cells, meta);
+      ok = remote_cells(client, req, cells, meta);
     } else {
       std::vector<sweep::SweepCell> cells;
-      ok = remote_sweep(client, req, cells, meta);
+      ok = remote_cells(client, req, cells, meta);
     }
     const double us =
         std::chrono::duration<double, std::micro>(clock::now() - t0).count();
@@ -336,10 +336,10 @@ void BM_WarmRequestRoundTrip(benchmark::State& state) {
   const svc::Request req = pool_request(0);
   std::vector<sweep::SweepCell> cells;
   svc::ResponseMeta meta;
-  remote_sweep(client, req, cells, meta);  // prime the cache
+  remote_cells(client, req, cells, meta);  // prime the cache
   for (auto _ : state) {
     cells.clear();
-    if (!remote_sweep(client, req, cells, meta)) {
+    if (!remote_cells(client, req, cells, meta)) {
       state.SkipWithError("request failed");
       return;
     }

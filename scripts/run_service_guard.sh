@@ -4,7 +4,9 @@
 #      cache-key canonicalization properties, forked-daemon e2e) and the
 #      ledger schema-v3 suites on a Release build;
 #   2. survive a daemon smoke run driven through the REAL CLI: serve on a
-#      unix socket, answer 100 mixed `--connect=` requests, stamp every
+#      unix socket, answer 100 mixed `--connect=` requests covering every
+#      work verb without a fallback, serve `sweep network|timing` and
+#      `fault sweep` grids byte-identical to the in-process CSVs, stamp every
 #      served request into the ledger with its cache disposition, and drain
 #      to exit code 0 on SIGTERM;
 #   3. hold the EXP-P9 perf guard (warm p50 >= 5x cold p50, 60% hit rate,
@@ -12,8 +14,7 @@
 #      networked-control guard (monotone stability-margin degradation as bus
 #      load rises, 1-vs-4-thread grid bit-equality, svc codec round-trip)
 #      via `ctest -C bench` — BENCH_p9.json and BENCH_n1.json land in the
-#      build dir, and the daemon-served `sweep network` grid must be
-#      byte-identical to the in-process one;
+#      build dir;
 #   4. pass the svc suites again under ASan+UBSan (fork/socket lifecycle,
 #      frame codecs and the LRU splice paths are pointer-heavy).
 #
@@ -25,7 +26,7 @@ build_dir="${repo_root}/build-service"
 asan_dir="${repo_root}/build-service-asan"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-svc_suites='^(ProtocolFraming|ProtocolFields|ProtocolCodec|ProtocolRequest|ProtocolMeta|ProtocolBits|ResultCacheTest|CacheKeyProperty|ServiceE2E|LedgerRecord|Ledger)\.'
+svc_suites='^(ProtocolFraming|ProtocolFields|ProtocolCodec|ProtocolRequest|ProtocolMeta|ProtocolBits|ResultCacheTest|CacheKeyProperty|ServiceE2E|SvcGolden|LedgerRecord|Ledger)\.'
 
 # 1. Release build: svc + ledger suites.
 cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
@@ -49,29 +50,43 @@ for _ in $(seq 1 100); do
 done
 [[ -S "${sock}" ]] || { echo "FAIL: daemon socket never appeared"; exit 1; }
 
-# 100 mixed requests: timing sweeps, network sweeps, fault sweeps and fault
-# Monte Carlos with a handful of distinct seeds, so most requests repeat an
-# earlier key and the ledger accumulates both computed and cache-served
-# records.
+# 100 mixed requests covering every work verb: timing, architecture and
+# network sweeps, fault sweeps, fault Monte Carlos and VM Monte Carlos with
+# a handful of distinct seeds, so most requests repeat an earlier key and
+# the ledger accumulates both computed and cache-served records. A request
+# the daemon could not serve falls back in-process and says so on stderr.
+spec="${repo_root}/examples/specs/servo_two_ecu.spec"
 for i in $(seq 1 100); do
-  case $((i % 4)) in
-    0) "${flow}" sweep timing --connect="${sock}" >/dev/null ;;
-    1) "${flow}" sweep network --connect="${sock}" >/dev/null ;;
-    2) "${flow}" fault sweep --connect="${sock}" --seed=$((i % 4 + 1)) \
-         >/dev/null ;;
+  case $((i % 6)) in
+    0) "${flow}" sweep timing --connect="${sock}" ;;
+    1) "${flow}" sweep network --connect="${sock}" ;;
+    2) "${flow}" fault sweep --connect="${sock}" --seed=$((i % 4 + 1)) ;;
     3) "${flow}" fault montecarlo --connect="${sock}" --trials=8 \
-         --seed=$((i % 4 + 1)) >/dev/null ;;
-  esac
+         --seed=$((i % 4 + 1)) ;;
+    4) "${flow}" sweep arch --connect="${sock}" ;;
+    5) "${flow}" montecarlo "${spec}" --connect="${sock}" --trials=20 \
+         --seed=$((i % 4 + 1)) ;;
+  esac >/dev/null 2>"${build_dir}/svc_smoke.err"
+  if grep -q "falling back" "${build_dir}/svc_smoke.err"; then
+    echo "FAIL: request ${i} was not served by the daemon:"
+    cat "${build_dir}/svc_smoke.err"
+    exit 1
+  fi
 done
 
-# EXP-N1 daemon fidelity: the daemon-served network grid must be
-# byte-identical to the in-process serial one.
-"${flow}" sweep network --threads=1 --csv-out="${build_dir}/n1_local.csv" \
-  >/dev/null
-"${flow}" sweep network --connect="${sock}" \
-  --csv-out="${build_dir}/n1_daemon.csv" >/dev/null
-cmp "${build_dir}/n1_local.csv" "${build_dir}/n1_daemon.csv" ||
-  { echo "FAIL: daemon-served network grid differs from in-process"; exit 1; }
+# Daemon fidelity (EXP-N1 and the grid verbs): daemon-served grids must be
+# byte-identical to the in-process serial ones.
+for cmd in "sweep network" "sweep timing" "fault sweep --seed=3"; do
+  name="${cmd// /_}"
+  # shellcheck disable=SC2086
+  "${flow}" ${cmd} --threads=1 --csv-out="${build_dir}/${name}_local.csv" \
+    >/dev/null
+  # shellcheck disable=SC2086
+  "${flow}" ${cmd} --connect="${sock}" \
+    --csv-out="${build_dir}/${name}_daemon.csv" >/dev/null
+  cmp "${build_dir}/${name}_local.csv" "${build_dir}/${name}_daemon.csv" ||
+    { echo "FAIL: daemon-served '${cmd}' grid differs from in-process"; exit 1; }
+done
 
 records=$(wc -l < "${ledger}")
 if [[ "${records}" -lt 100 ]]; then

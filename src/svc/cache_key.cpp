@@ -3,8 +3,7 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "fault/fault_plan.hpp"
-#include "par/fault_sweep.hpp"
+#include "svc/work_verb.hpp"
 
 namespace ecsim::svc {
 
@@ -28,65 +27,39 @@ ResultKey unit_key(const Request& req, const std::string& model_hash,
   if (unit >= req.units()) {
     throw std::out_of_range("unit_key: unit beyond request");
   }
+  const WorkVerb& w = *find_work_verb(req.verb);  // units() > 0
   ResultKey key;
   key.model_hash = model_hash;
   key.backend = req.backend;
-  key.seed = req.seed;
+  key.seed = unit_seed(req, unit);
+  if (w.fault_hash != nullptr) key.fault_hash = w.fault_hash(req, unit);
   std::string p = "v=";
-  p += to_string(req.verb);
+  p += w.name;
   p += ";ts=";
   p += hexfloat(req.ts);
   p += ";te=";
   p += hexfloat(req.t_end);
-  const auto cell_coords = [&](const char* row_name, const char* col_name) {
-    const std::size_t cols = req.cols.size();
-    p += ';';
-    p += row_name;
-    p += '=';
-    p += hexfloat(req.rows[unit / cols]);
-    p += ';';
-    p += col_name;
-    p += '=';
-    p += hexfloat(req.cols[unit % cols]);
-  };
-  switch (req.verb) {
-    case Verb::kSweepTiming:
-      cell_coords("la", "j");
+  switch (w.shape) {
+    case Shape::kGrid:
+      p += ';';
+      p += w.row_label;
+      p += '=';
+      p += hexfloat(row_of(req, unit));
+      p += ';';
+      p += w.col_label;
+      p += '=';
+      p += hexfloat(col_of(req, unit));
       break;
-    case Verb::kSweepArch:
-      cell_coords("bw", "ws");
-      break;
-    case Verb::kSweepNetwork:
-      cell_coords("load", "scen");
-      break;
-    case Verb::kFaultSweep: {
-      cell_coords("loss", "delay");
-      const std::size_t cols = req.cols.size();
-      key.fault_hash = fault::hash(sweep::fault_cell_plan(
-          /*medium=*/"", req.rows[unit / cols], req.cols[unit % cols],
-          /*delay_probability=*/1.0, req.seed));
-      break;
-    }
-    case Verb::kFaultMc: {
-      // The trial's EFFECTIVE seed keys the unit: trial t of base seed b is
-      // the same simulation as trial 0 of base seed b+t, so overlapping
-      // Monte Carlo ranges share cache entries instead of recomputing.
-      key.seed = req.seed + static_cast<std::uint64_t>(unit);
-      key.fault_hash = fault::hash(sweep::fault_cell_plan(
-          /*medium=*/"", req.loss, /*delay=*/0.0, /*delay_probability=*/1.0,
-          key.seed));
+    case Shape::kTrials:
       p += ";loss=";
       p += hexfloat(req.loss);
       break;
-    }
-    case Verb::kVmMc:
+    case Shape::kSpecRun:
       p += ";trials=";
       p += std::to_string(req.trials);
       p += ";iters=";
       p += std::to_string(req.iterations);
       break;
-    default:
-      throw std::invalid_argument("unit_key: verb has no work units");
   }
   key.params = std::move(p);
   return key;

@@ -67,87 +67,56 @@ bool Client::request(const Request& req, Fields& reply, ResponseMeta& meta) {
 
 namespace {
 
-bool unit_payloads(Client& client, const Request& req, ResponseMeta& meta,
-                   std::vector<std::string>& blobs, std::string& err) {
-  Fields reply;
-  if (!client.request(req, reply, meta)) {
-    err = client.last_error();
-    return false;
-  }
-  const std::string* units = reply.get("units");
-  if (units == nullptr || !decode_blob_list(*units, blobs) ||
-      blobs.size() != req.units()) {
-    err = "malformed units payload";
-    return false;
-  }
-  return true;
+bool decode_cell(const std::string& s, sweep::MonteCarloResult& r) {
+  return decode_mc(s, r);
 }
 
 }  // namespace
 
-bool remote_sweep(Client& client, const Request& req,
-                  std::vector<sweep::SweepCell>& cells, ResponseMeta& meta) {
+template <class Cell>
+bool remote_cells(Client& client, const Request& req,
+                  std::vector<Cell>& cells, ResponseMeta& meta) {
+  Fields reply;
+  if (!client.request(req, reply, meta)) return false;
   std::vector<std::string> blobs;
-  std::string err;
-  if (!unit_payloads(client, req, meta, blobs, err)) return false;
-  std::vector<sweep::SweepCell> out(blobs.size());
+  const std::string* units = reply.get("units");
+  if (units == nullptr || !decode_blob_list(*units, blobs) ||
+      blobs.size() != req.units()) {
+    client.err_ = "malformed units payload";
+    return false;
+  }
+  std::vector<Cell> out(blobs.size());
   for (std::size_t i = 0; i < blobs.size(); ++i) {
-    if (!decode_cell(blobs[i], out[i])) return false;
+    if (!decode_cell(blobs[i], out[i])) {
+      client.err_ = "undecodable payload of unit " + std::to_string(i);
+      return false;
+    }
   }
   cells = std::move(out);
   return true;
 }
 
-bool remote_fault_sweep(Client& client, const Request& req,
-                        std::vector<sweep::FaultCell>& cells,
-                        ResponseMeta& meta) {
-  std::vector<std::string> blobs;
-  std::string err;
-  if (!unit_payloads(client, req, meta, blobs, err)) return false;
-  std::vector<sweep::FaultCell> out(blobs.size());
-  for (std::size_t i = 0; i < blobs.size(); ++i) {
-    if (!decode_cell(blobs[i], out[i])) return false;
-  }
-  cells = std::move(out);
-  return true;
-}
-
-bool remote_network_sweep(Client& client, const Request& req,
-                          std::vector<sweep::NetworkCell>& cells,
-                          ResponseMeta& meta) {
-  std::vector<std::string> blobs;
-  std::string err;
-  if (!unit_payloads(client, req, meta, blobs, err)) return false;
-  std::vector<sweep::NetworkCell> out(blobs.size());
-  for (std::size_t i = 0; i < blobs.size(); ++i) {
-    if (!decode_cell(blobs[i], out[i])) return false;
-  }
-  cells = std::move(out);
-  return true;
-}
+template bool remote_cells(Client&, const Request&,
+                           std::vector<sweep::SweepCell>&, ResponseMeta&);
+template bool remote_cells(Client&, const Request&,
+                           std::vector<sweep::FaultCell>&, ResponseMeta&);
+template bool remote_cells(Client&, const Request&,
+                           std::vector<sweep::NetworkCell>&, ResponseMeta&);
 
 bool remote_fault_mc(Client& client, const Request& req,
                      sweep::FaultMonteCarloResult& result,
                      ResponseMeta& meta) {
-  std::vector<std::string> blobs;
-  std::string err;
-  if (!unit_payloads(client, req, meta, blobs, err)) return false;
-  std::vector<sweep::FaultCell> cells(blobs.size());
-  for (std::size_t i = 0; i < blobs.size(); ++i) {
-    if (!decode_cell(blobs[i], cells[i])) return false;
-  }
+  std::vector<sweep::FaultCell> cells;
+  if (!remote_cells(client, req, cells, meta)) return false;
   result = sweep::summarize_fault_trials(std::move(cells), req.loss);
   return true;
 }
 
 bool remote_vm_mc(Client& client, const Request& req,
                   sweep::MonteCarloResult& result, ResponseMeta& meta) {
-  std::vector<std::string> blobs;
-  std::string err;
-  if (!unit_payloads(client, req, meta, blobs, err)) return false;
-  sweep::MonteCarloResult out;
-  if (blobs.size() != 1 || !decode_mc(blobs[0], out)) return false;
-  result = std::move(out);
+  std::vector<sweep::MonteCarloResult> runs;
+  if (!remote_cells(client, req, runs, meta)) return false;
+  result = std::move(runs[0]);  // a kSpecRun request is one unit
   return true;
 }
 

@@ -37,6 +37,10 @@ class Client {
   const std::string& last_error() const { return err_; }
 
  private:
+  template <class Cell>
+  friend bool remote_cells(Client& client, const Request& req,
+                           std::vector<Cell>& cells, ResponseMeta& meta);
+
   int fd_ = -1;
   std::string err_;
 };
@@ -46,16 +50,11 @@ class Client {
 // daemon's unit payloads. False leaves the output untouched; the reason is
 // in client.last_error().
 
-bool remote_sweep(Client& client, const Request& req,
-                  std::vector<sweep::SweepCell>& cells, ResponseMeta& meta);
-
-bool remote_fault_sweep(Client& client, const Request& req,
-                        std::vector<sweep::FaultCell>& cells,
-                        ResponseMeta& meta);
-
-bool remote_network_sweep(Client& client, const Request& req,
-                          std::vector<sweep::NetworkCell>& cells,
-                          ResponseMeta& meta);
+/// One decoded cell per work unit, in unit order. Instantiated for
+/// sweep::SweepCell, sweep::FaultCell and sweep::NetworkCell.
+template <class Cell>
+bool remote_cells(Client& client, const Request& req,
+                  std::vector<Cell>& cells, ResponseMeta& meta);
 
 /// Fault Monte Carlo: per-trial cells come back in trial order and reduce
 /// through sweep::summarize_fault_trials — the same reduction the in-process

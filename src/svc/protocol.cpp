@@ -1,13 +1,20 @@
 #include "svc/protocol.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
+
+#include "svc/work_verb.hpp"
 
 namespace ecsim::svc {
 
@@ -215,27 +222,47 @@ bool Fields::parse(const std::string& text, Fields& out) {
 
 // ---- verbs -----------------------------------------------------------------
 
+namespace {
+
+constexpr std::pair<Verb, const char*> kControlVerbs[] = {
+    {Verb::kPing, "ping"}, {Verb::kStats, "stats"},
+    {Verb::kKillWorker, "kill_worker"}};
+
+/// Fewest reply bytes one unit can take: its "<len>\n<payload>\n" blob
+/// around the shortest payload, a value-initialised one (doubles always take
+/// 16 hex digits, zero integers and bools one).
+std::size_t min_unit_reply_bytes() {
+  static const std::size_t n = [] {
+    const std::size_t payload = std::min(
+        {encode_cell(sweep::SweepCell{}).size(),
+         encode_cell(sweep::FaultCell{}).size(),
+         encode_cell(sweep::NetworkCell{}).size(),
+         encode_mc(sweep::MonteCarloResult{}).size()});
+    return std::to_string(payload).size() + payload + 2;
+  }();
+  return n;
+}
+
+}  // namespace
+
 const char* to_string(Verb v) {
-  switch (v) {
-    case Verb::kSweepTiming: return "sweep_timing";
-    case Verb::kSweepArch: return "sweep_arch";
-    case Verb::kSweepNetwork: return "sweep_network";
-    case Verb::kFaultSweep: return "fault_sweep";
-    case Verb::kFaultMc: return "fault_mc";
-    case Verb::kVmMc: return "vm_mc";
-    case Verb::kPing: return "ping";
-    case Verb::kStats: return "stats";
-    case Verb::kKillWorker: return "kill_worker";
+  if (const WorkVerb* w = find_work_verb(v)) return w->name;
+  for (const auto& [verb, name] : kControlVerbs) {
+    if (verb == v) return name;
   }
   return "?";
 }
 
 bool parse_verb(const std::string& s, Verb& out) {
-  for (Verb v : {Verb::kSweepTiming, Verb::kSweepArch, Verb::kSweepNetwork,
-                 Verb::kFaultSweep, Verb::kFaultMc, Verb::kVmMc, Verb::kPing,
-                 Verb::kStats, Verb::kKillWorker}) {
-    if (s == to_string(v)) {
-      out = v;
+  for (const WorkVerb& w : work_verbs()) {
+    if (s == w.name) {
+      out = w.verb;
+      return true;
+    }
+  }
+  for (const auto& [verb, name] : kControlVerbs) {
+    if (s == name) {
+      out = verb;
       return true;
     }
   }
@@ -251,24 +278,21 @@ Fields Request::to_fields() const {
   f.set("ts", hexfloat(ts));
   f.set("t_end", hexfloat(t_end));
   f.set_u64("seed", seed);
-  switch (verb) {
-    case Verb::kSweepTiming:
-    case Verb::kSweepArch:
-    case Verb::kSweepNetwork:
-    case Verb::kFaultSweep:
+  const WorkVerb* w = find_work_verb(verb);
+  if (w == nullptr) return f;
+  switch (w->shape) {
+    case Shape::kGrid:
       f.set_list("rows", rows);
       f.set_list("cols", cols);
       break;
-    case Verb::kFaultMc:
+    case Shape::kTrials:
       f.set("loss", hexfloat(loss));
       f.set_u64("trials", trials);
       break;
-    case Verb::kVmMc:
+    case Shape::kSpecRun:
       f.set_u64("trials", trials);
       f.set_u64("iterations", iterations);
       f.set("spec_text", spec_text);
-      break;
-    default:
       break;
   }
   return f;
@@ -295,50 +319,41 @@ bool Request::from_fields(const Fields& f, Request& out, std::string& err) {
     return false;
   }
   f.get_u64("seed", r.seed);
-  switch (r.verb) {
-    case Verb::kSweepTiming:
-    case Verb::kSweepArch:
-    case Verb::kSweepNetwork:
-    case Verb::kFaultSweep:
+  if (const WorkVerb* w = find_work_verb(r.verb)) {
+    const std::string name = w->name;
+    if (w->shape == Shape::kGrid) {
       if (!f.get_list("rows", r.rows) || !f.get_list("cols", r.cols) ||
           r.rows.empty() || r.cols.empty()) {
-        err = "sweep request needs non-empty rows and cols";
+        err = name + " needs non-empty rows and cols";
         return false;
       }
-      if (r.verb == Verb::kSweepNetwork) {
-        for (const double c : r.cols) {
-          if (c != 0.0 && c != 1.0) {
-            err = "sweep_network cols must be scenario codes (0=can 1=tdma)";
-            return false;
-          }
-        }
-      }
-      break;
-    case Verb::kFaultMc:
-      if ((s = f.get("loss")) != nullptr) {
-        r.loss = std::strtod(s->c_str(), &end);
-      }
-      if (!f.get_u64("trials", r.trials) || r.trials == 0) {
-        err = "fault_mc needs trials > 0";
-        return false;
-      }
-      break;
-    case Verb::kVmMc: {
-      if (!f.get_u64("trials", r.trials) || r.trials == 0) {
-        err = "vm_mc needs trials > 0";
-        return false;
-      }
+    } else if (!f.get_u64("trials", r.trials) || r.trials == 0) {
+      err = name + " needs trials > 0";
+      return false;
+    }
+    if (w->shape == Shape::kTrials && (s = f.get("loss")) != nullptr) {
+      r.loss = std::strtod(s->c_str(), &end);
+    }
+    if (w->shape == Shape::kSpecRun) {
       f.get_u64("iterations", r.iterations);
       const std::string* spec = f.get("spec_text");
       if (spec == nullptr || spec->empty()) {
-        err = "vm_mc needs spec_text";
+        err = name + " needs spec_text";
         return false;
       }
       r.spec_text = *spec;
-      break;
     }
-    default:
-      break;
+    if (const char* bad = w->check != nullptr ? w->check(r) : nullptr) {
+      err = bad;
+      return false;
+    }
+    // A small hostile request must not make the daemon allocate per-unit
+    // state for more units than one reply frame could ever carry.
+    if (r.units() > kMaxFrameBytes / min_unit_reply_bytes()) {
+      err = name + " request of " + std::to_string(r.units()) +
+            " units cannot fit one reply frame";
+      return false;
+    }
   }
   out = std::move(r);
   err.clear();
@@ -346,19 +361,17 @@ bool Request::from_fields(const Fields& f, Request& out, std::string& err) {
 }
 
 std::size_t Request::units() const {
-  switch (verb) {
-    case Verb::kSweepTiming:
-    case Verb::kSweepArch:
-    case Verb::kSweepNetwork:
-    case Verb::kFaultSweep:
+  const WorkVerb* w = find_work_verb(verb);
+  if (w == nullptr) return 0;
+  switch (w->shape) {
+    case Shape::kGrid:
       return rows.size() * cols.size();
-    case Verb::kFaultMc:
+    case Shape::kTrials:
       return trials;
-    case Verb::kVmMc:
+    case Shape::kSpecRun:
       return 1;
-    default:
-      return 0;
   }
+  return 0;
 }
 
 // ---- responses -------------------------------------------------------------
@@ -386,6 +399,20 @@ ResponseMeta meta_from_fields(const Fields& f) {
   m.served_from_cache = flag != 0;
   f.get_u64("redispatches", m.redispatches);
   return m;
+}
+
+bool write_reply(int fd, const Fields& reply) {
+  std::string bytes = reply.serialize();
+  if (bytes.size() > kMaxFrameBytes) {
+    ResponseMeta meta = meta_from_fields(reply);
+    meta.ok = false;
+    meta.error = "reply of " + std::to_string(bytes.size()) +
+                 " bytes exceeds the frame limit";
+    Fields fail;
+    meta_to_fields(meta, fail);
+    bytes = fail.serialize();
+  }
+  return write_frame(fd, bytes);
 }
 
 // ---- blob lists ------------------------------------------------------------
@@ -436,11 +463,78 @@ bool decode_blob_list(const std::string& text,
   return at == text.size();
 }
 
-// ---- cell codecs -----------------------------------------------------------
+// ---- unit payload codec ----------------------------------------------------
+// One field-list codec for every unit payload: a tag character, then each
+// field of the type's list after one space — a double as its IEEE bit
+// pattern, an integer in decimal, a bool as 1/0, a string as its length and
+// then its bytes (op names contain no spaces), a list as its length and then
+// its entries, a nested type as its own field list.
 
 namespace {
 
-/// Tokenize a payload on single spaces; every codec below is fixed-layout.
+auto fields(sweep::SweepCell& c) {
+  return std::tie(c.la_frac, c.jitter_frac, c.bus_bandwidth, c.wcet_scale,
+                  c.iae, c.ise, c.itae, c.cost, c.overshoot_pct,
+                  c.act_latency_mean, c.act_jitter, c.stable);
+}
+
+auto fields(sweep::FaultCell& c) {
+  return std::tie(c.loss_rate, c.delay, c.iae, c.ise, c.itae, c.cost,
+                  c.overshoot_pct, c.fault_seed, c.messages_lost,
+                  c.messages_deferred, c.stable);
+}
+
+auto fields(sweep::NetworkCell& c) {
+  return std::tie(c.bus_load, c.scenario, c.act_latency_mean, c.act_jitter,
+                  c.nominal_iae, c.nominal_cost, c.retuned_iae, c.retuned_cost,
+                  c.stability_margin, c.schedulable, c.stable);
+}
+
+auto fields(math::Summary& s) {
+  return std::tie(s.count, s.mean, s.stddev, s.min, s.max, s.median, s.p95);
+}
+
+auto fields(sweep::MonteCarloOpStats& op) {
+  return std::tie(op.op, op.sensor, op.name, op.mean_latency, op.max_latency,
+                  op.jitter);
+}
+
+/// Wall-clock fields are not in the list: a cached result is the
+/// statistics, not the timing of whoever computed it first.
+auto fields(sweep::MonteCarloResult& r) {
+  return std::tie(r.trials, r.deadlocks, r.makespan, r.io_ops);
+}
+
+template <class T>
+constexpr bool kIsList = false;
+template <class T>
+constexpr bool kIsList<std::vector<T>> = true;
+
+template <class T>
+void put(std::string& out, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out += v ? " 1" : " 0";
+  } else if constexpr (std::is_same_v<T, double>) {
+    out += ' ';
+    out += bits_of(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    out += ' ';
+    out += std::to_string(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out += ' ';
+    out += std::to_string(v.size());
+    out += ' ';
+    out += v;
+  } else if constexpr (kIsList<T>) {
+    out += ' ';
+    out += std::to_string(v.size());
+    for (auto& e : v) put(out, e);
+  } else {
+    std::apply([&](auto&... f) { (put(out, f), ...); }, fields(v));
+  }
+}
+
+/// Tokenize a payload on single spaces.
 std::vector<std::string> split(const std::string& s) {
   std::vector<std::string> toks;
   std::size_t at = 0;
@@ -461,192 +555,91 @@ bool tok_u64(const std::string& s, std::uint64_t& v) {
   return end == s.c_str() + s.size();
 }
 
-void put_summary(std::string& out, const math::Summary& s) {
-  out += std::to_string(s.count);
-  for (double v : {s.mean, s.stddev, s.min, s.max, s.median, s.p95}) {
-    out += ' ';
-    out += bits_of(v);
+struct Tokens {
+  std::vector<std::string> toks;
+  std::size_t at = 1;  // past the tag
+  std::size_t left() const { return toks.size() - at; }
+};
+
+template <class T>
+bool take(Tokens& in, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (in.left() == 0) return false;
+    v = in.toks[in.at++] == "1";
+    return true;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return in.left() > 0 && double_of(in.toks[in.at++], v);
+  } else if constexpr (std::is_integral_v<T>) {
+    std::uint64_t u = 0;
+    if (in.left() == 0 || !tok_u64(in.toks[in.at++], u)) return false;
+    v = static_cast<T>(u);
+    return true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    std::uint64_t len = 0;
+    if (!take(in, len) || in.left() == 0) return false;
+    if (in.toks[in.at].size() != len) return false;
+    v = in.toks[in.at++];
+    return true;
+  } else if constexpr (kIsList<T>) {
+    // Every entry takes at least one token, so a length beyond the tokens
+    // left is corrupt; checking before resize() keeps a hostile length from
+    // throwing or allocating unboundedly.
+    std::uint64_t n = 0;
+    if (!take(in, n) || n > in.left()) return false;
+    v.resize(static_cast<std::size_t>(n));
+    for (auto& e : v) {
+      if (!take(in, e)) return false;
+    }
+    return true;
+  } else {
+    return std::apply([&](auto&... f) { return (take(in, f) && ...); },
+                      fields(v));
   }
 }
 
-bool take_summary(const std::vector<std::string>& toks, std::size_t& i,
-                  math::Summary& s) {
-  if (i + 7 > toks.size()) return false;
-  std::uint64_t count = 0;
-  if (!tok_u64(toks[i++], count)) return false;
-  s.count = static_cast<std::size_t>(count);
-  double* fields[] = {&s.mean, &s.stddev, &s.min, &s.max, &s.median, &s.p95};
-  for (double* f : fields) {
-    if (!double_of(toks[i++], *f)) return false;
+template <class T>
+std::string encode_payload(char tag, T v) {
+  std::string out(1, tag);
+  put(out, v);
+  return out;
+}
+
+template <class T>
+bool decode_payload(char tag, const std::string& s, T& v) {
+  Tokens in{split(s)};
+  T out;
+  if (in.toks[0] != std::string(1, tag) || !take(in, out) || in.left() != 0) {
+    return false;
   }
+  v = std::move(out);
   return true;
 }
 
 }  // namespace
 
 std::string encode_cell(const sweep::SweepCell& c) {
-  std::string out = "S";
-  for (double v : {c.la_frac, c.jitter_frac, c.bus_bandwidth, c.wcet_scale,
-                   c.iae, c.ise, c.itae, c.cost, c.overshoot_pct,
-                   c.act_latency_mean, c.act_jitter}) {
-    out += ' ';
-    out += bits_of(v);
-  }
-  out += c.stable ? " 1" : " 0";
-  return out;
+  return encode_payload('S', c);
 }
-
 bool decode_cell(const std::string& s, sweep::SweepCell& c) {
-  const std::vector<std::string> toks = split(s);
-  if (toks.size() != 13 || toks[0] != "S") return false;
-  sweep::SweepCell out;
-  double* fields[] = {&out.la_frac,       &out.jitter_frac,
-                      &out.bus_bandwidth, &out.wcet_scale,
-                      &out.iae,           &out.ise,
-                      &out.itae,          &out.cost,
-                      &out.overshoot_pct, &out.act_latency_mean,
-                      &out.act_jitter};
-  for (std::size_t i = 0; i < 11; ++i) {
-    if (!double_of(toks[i + 1], *fields[i])) return false;
-  }
-  out.stable = toks[12] == "1";
-  c = out;
-  return true;
+  return decode_payload('S', s, c);
 }
-
 std::string encode_cell(const sweep::FaultCell& c) {
-  std::string out = "F";
-  for (double v : {c.loss_rate, c.delay, c.iae, c.ise, c.itae, c.cost,
-                   c.overshoot_pct}) {
-    out += ' ';
-    out += bits_of(v);
-  }
-  out += ' ';
-  out += std::to_string(c.fault_seed);
-  out += ' ';
-  out += std::to_string(c.messages_lost);
-  out += ' ';
-  out += std::to_string(c.messages_deferred);
-  out += c.stable ? " 1" : " 0";
-  return out;
+  return encode_payload('F', c);
 }
-
 bool decode_cell(const std::string& s, sweep::FaultCell& c) {
-  const std::vector<std::string> toks = split(s);
-  if (toks.size() != 12 || toks[0] != "F") return false;
-  sweep::FaultCell out;
-  double* fields[] = {&out.loss_rate, &out.delay, &out.iae,
-                      &out.ise,       &out.itae,  &out.cost,
-                      &out.overshoot_pct};
-  for (std::size_t i = 0; i < 7; ++i) {
-    if (!double_of(toks[i + 1], *fields[i])) return false;
-  }
-  std::uint64_t u = 0;
-  if (!tok_u64(toks[8], out.fault_seed)) return false;
-  if (!tok_u64(toks[9], u)) return false;
-  out.messages_lost = static_cast<std::size_t>(u);
-  if (!tok_u64(toks[10], u)) return false;
-  out.messages_deferred = static_cast<std::size_t>(u);
-  out.stable = toks[11] == "1";
-  c = out;
-  return true;
+  return decode_payload('F', s, c);
 }
-
 std::string encode_cell(const sweep::NetworkCell& c) {
-  std::string out = "N";
-  for (double v : {c.bus_load, c.scenario, c.act_latency_mean, c.act_jitter,
-                   c.nominal_iae, c.nominal_cost, c.retuned_iae,
-                   c.retuned_cost, c.stability_margin}) {
-    out += ' ';
-    out += bits_of(v);
-  }
-  out += c.schedulable ? " 1" : " 0";
-  out += c.stable ? " 1" : " 0";
-  return out;
+  return encode_payload('N', c);
 }
-
 bool decode_cell(const std::string& s, sweep::NetworkCell& c) {
-  const std::vector<std::string> toks = split(s);
-  if (toks.size() != 12 || toks[0] != "N") return false;
-  sweep::NetworkCell out;
-  double* fields[] = {&out.bus_load,      &out.scenario,
-                      &out.act_latency_mean, &out.act_jitter,
-                      &out.nominal_iae,   &out.nominal_cost,
-                      &out.retuned_iae,   &out.retuned_cost,
-                      &out.stability_margin};
-  for (std::size_t i = 0; i < 9; ++i) {
-    if (!double_of(toks[i + 1], *fields[i])) return false;
-  }
-  out.schedulable = toks[10] == "1";
-  out.stable = toks[11] == "1";
-  c = out;
-  return true;
+  return decode_payload('N', s, c);
 }
-
 std::string encode_mc(const sweep::MonteCarloResult& r) {
-  std::string out = "M ";
-  out += std::to_string(r.trials);
-  out += ' ';
-  out += std::to_string(r.deadlocks);
-  out += ' ';
-  put_summary(out, r.makespan);
-  out += ' ';
-  out += std::to_string(r.io_ops.size());
-  for (const sweep::MonteCarloOpStats& op : r.io_ops) {
-    out += ' ';
-    out += std::to_string(op.op);
-    out += op.sensor ? " 1 " : " 0 ";
-    out += std::to_string(op.name.size());
-    out += ' ';
-    out += op.name;  // spec op names contain no spaces (io::parse_spec)
-    out += ' ';
-    put_summary(out, op.mean_latency);
-    out += ' ';
-    put_summary(out, op.max_latency);
-    out += ' ';
-    put_summary(out, op.jitter);
-  }
-  return out;
+  return encode_payload('M', r);
 }
-
 bool decode_mc(const std::string& s, sweep::MonteCarloResult& r) {
-  const std::vector<std::string> toks = split(s);
-  std::size_t i = 0;
-  if (toks.empty() || toks[i++] != "M") return false;
-  sweep::MonteCarloResult out;
-  std::uint64_t u = 0;
-  if (i >= toks.size() || !tok_u64(toks[i++], u)) return false;
-  out.trials = static_cast<std::size_t>(u);
-  if (i >= toks.size() || !tok_u64(toks[i++], u)) return false;
-  out.deadlocks = static_cast<std::size_t>(u);
-  if (!take_summary(toks, i, out.makespan)) return false;
-  if (i >= toks.size() || !tok_u64(toks[i++], u)) return false;
-  const std::size_t num_ops = static_cast<std::size_t>(u);
-  // Each op consumes at least one token, so an op count beyond the
-  // remaining tokens is corrupt; check before reserve() so a hostile
-  // count cannot throw or allocate unboundedly.
-  if (num_ops > toks.size() - i) return false;
-  out.io_ops.reserve(num_ops);
-  for (std::size_t k = 0; k < num_ops; ++k) {
-    sweep::MonteCarloOpStats op;
-    if (i + 3 > toks.size() || !tok_u64(toks[i], u)) return false;
-    op.op = static_cast<aaa::OpId>(u);
-    op.sensor = toks[i + 1] == "1";
-    std::uint64_t name_len = 0;
-    if (!tok_u64(toks[i + 2], name_len)) return false;
-    i += 3;
-    if (i >= toks.size() || toks[i].size() != name_len) return false;
-    op.name = toks[i++];
-    if (!take_summary(toks, i, op.mean_latency) ||
-        !take_summary(toks, i, op.max_latency) ||
-        !take_summary(toks, i, op.jitter)) {
-      return false;
-    }
-    out.io_ops.push_back(std::move(op));
-  }
-  if (i != toks.size()) return false;
-  r = std::move(out);
-  return true;
+  return decode_payload('M', s, r);
 }
 
 }  // namespace ecsim::svc

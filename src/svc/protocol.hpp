@@ -12,7 +12,8 @@
 //
 // One request verb family mirrors the in-process sweep API (par/sweep.hpp,
 // par/fault_sweep.hpp, par/monte_carlo.hpp); `Request` is the canonical
-// parameter set both sides build cache keys from (svc/cache_key.hpp).
+// parameter set both sides build cache keys from (svc/cache_key.hpp). Each
+// work verb is one entry of the descriptor table in svc/work_verb.hpp.
 #pragma once
 
 #include <cstdint>
@@ -111,6 +112,7 @@ struct Request {
   std::string spec_text;           // kVmMc uploaded spec
 
   Fields to_fields() const;
+  /// Also refuses a request with more units than one reply frame can carry.
   static bool from_fields(const Fields& f, Request& out, std::string& err);
 
   /// Number of independently cacheable work units.
@@ -131,6 +133,11 @@ struct ResponseMeta {
 
 void meta_to_fields(const ResponseMeta& m, Fields& f);
 ResponseMeta meta_from_fields(const Fields& f);
+
+/// Send `reply` as one frame. A reply too large to frame goes out as an
+/// error-status frame with the same metadata instead, so the peer is never
+/// left waiting for a frame that was not sent. False when the peer is gone.
+bool write_reply(int fd, const Fields& reply);
 
 // ---- payload codecs --------------------------------------------------------
 // One work unit <-> one payload string. Counted blob lists pack the units of

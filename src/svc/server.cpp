@@ -14,15 +14,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "backend/kind.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
-#include "par/batch_runner.hpp"
-#include "par/fault_sweep.hpp"
-#include "par/monte_carlo.hpp"
-#include "par/sweep.hpp"
 #include "svc/cache_key.hpp"
 #include "svc/result_cache.hpp"
+#include "svc/work_verb.hpp"
 
 namespace ecsim::svc {
 
@@ -46,79 +42,7 @@ std::string evaluate_unit(const Request& req, std::size_t unit,
   if (unit >= req.units()) {
     throw std::out_of_range("evaluate_unit: unit beyond request");
   }
-  // threads=1 short-circuits BatchRunner to the serial path, so a worker's
-  // unit is computed by the exact code a serial in-process run uses.
-  par::BatchOptions batch;
-  batch.threads = 1;
-  const backend::Kind bk = backend::parse_kind(req.backend);
-  switch (req.verb) {
-    case Verb::kSweepTiming: {
-      sweep::TimingGrid grid;
-      grid.loop = warm.loop(req.ts, req.t_end, req.seed).loop;
-      grid.loop.backend = bk;
-      grid.latency_fracs = {req.rows[unit / req.cols.size()]};
-      grid.jitter_fracs = {req.cols[unit % req.cols.size()]};
-      return encode_cell(sweep::SweepRunner(batch).run(grid)[0]);
-    }
-    case Verb::kSweepArch: {
-      sweep::ArchitectureGrid grid;
-      grid.loop = warm.loop(req.ts, req.t_end, req.seed).loop;
-      grid.loop.backend = bk;
-      grid.dist.bind_ctrl = "P1";  // controller across the bus (CLI contract)
-      grid.bus_bandwidths = {req.rows[unit / req.cols.size()]};
-      grid.wcet_scales = {req.cols[unit % req.cols.size()]};
-      return encode_cell(sweep::SweepRunner(batch).run(grid)[0]);
-    }
-    case Verb::kSweepNetwork: {
-      // The canonical EXP-N1 grid shape (network_servo_grid) restricted to
-      // this unit's (bus load, scenario) coordinate; the warm loop replaces
-      // the grid's own so the IR hash and seed match the request.
-      sweep::NetworkGrid grid = sweep::network_servo_grid(req.ts, req.t_end);
-      grid.loop = warm.loop(req.ts, req.t_end, req.seed).loop;
-      grid.loop.backend = bk;
-      grid.bus_loads = {req.rows[unit / req.cols.size()]};
-      grid.scenarios = {
-          sweep::scenario_of_code(req.cols[unit % req.cols.size()])};
-      return encode_cell(sweep::run_network_sweep(grid, batch)[0]);
-    }
-    case Verb::kFaultSweep: {
-      sweep::FaultGrid grid;
-      // CLI convention: --seed seeds the FAULT stream; the loop keeps its
-      // default seed so fault grids compare against the same plant noise.
-      grid.loop = warm.loop(req.ts, req.t_end, 1).loop;
-      grid.loop.backend = bk;
-      grid.dist.bind_ctrl = "P1";
-      grid.loss_rates = {req.rows[unit / req.cols.size()]};
-      grid.delays = {req.cols[unit % req.cols.size()]};
-      grid.fault_seed = req.seed;
-      return encode_cell(sweep::run_fault_sweep(grid, batch)[0]);
-    }
-    case Verb::kFaultMc: {
-      sweep::FaultMonteCarloSpec spec;
-      spec.loop = warm.loop(req.ts, req.t_end, 1).loop;
-      spec.loop.backend = bk;
-      spec.dist.bind_ctrl = "P1";
-      spec.loss_rate = req.loss;
-      spec.trials = 1;
-      // Trial `unit` of base seed b is trial 0 of base seed b+unit — the
-      // identity the cache key relies on (svc/cache_key.cpp).
-      spec.base_seed = req.seed + static_cast<std::uint64_t>(unit);
-      spec.batch_width = 1;
-      return encode_cell(sweep::run_fault_monte_carlo(spec, batch).cells[0]);
-    }
-    case Verb::kVmMc: {
-      const WarmSpec& w = warm.spec(req.spec_text);
-      sweep::MonteCarloSpec spec;
-      spec.trials = req.trials;
-      spec.iterations = req.iterations;
-      batch.seed = req.seed;
-      return encode_mc(sweep::run_monte_carlo(w.spec.algorithm,
-                                              w.spec.architecture, w.sched,
-                                              w.code, spec, batch));
-    }
-    default:
-      throw std::invalid_argument("evaluate_unit: verb has no work units");
-  }
+  return find_work_verb(req.verb)->evaluate(req, unit, warm);
 }
 
 // ---- worker processes ------------------------------------------------------
@@ -155,7 +79,7 @@ namespace {
         reply.set("error", e.what());
       }
     }
-    if (!write_frame(fd, reply.serialize())) break;
+    if (!write_reply(fd, reply)) break;
   }
   ::_exit(0);
 }
@@ -398,13 +322,13 @@ void handle_request(ServerCtx& ctx, int cfd, const Fields& f) {
   if (!Request::from_fields(f, req, err)) {
     meta.error = err;
     meta_to_fields(meta, reply);
-    write_frame(cfd, reply.serialize());
+    write_reply(cfd, reply);
     return;
   }
   if (req.verb == Verb::kPing) {
     meta.ok = true;
     meta_to_fields(meta, reply);
-    write_frame(cfd, reply.serialize());
+    write_reply(cfd, reply);
     return;
   }
   if (req.verb == Verb::kStats) {
@@ -422,7 +346,7 @@ void handle_request(ServerCtx& ctx, int cfd, const Fields& f) {
     std::uint64_t alive = 0;
     for (const Worker& w : ctx.workers) alive += w.alive ? 1 : 0;
     reply.set_u64("workers", alive);
-    write_frame(cfd, reply.serialize());
+    write_reply(cfd, reply);
     return;
   }
   if (req.verb == Verb::kKillWorker) {
@@ -439,22 +363,17 @@ void handle_request(ServerCtx& ctx, int cfd, const Fields& f) {
       break;
     }
     meta_to_fields(meta, reply);
-    write_frame(cfd, reply.serialize());
+    write_reply(cfd, reply);
     return;
   }
 
   const auto t0 = std::chrono::steady_clock::now();
   ++ctx.requests;
   try {
-    meta.model_hash = req.verb == Verb::kVmMc
-                          ? spec_content_hash(req.spec_text)
-                          : ctx.warm
-                                ->loop(req.ts, req.t_end,
-                                       req.verb == Verb::kFaultSweep ||
-                                               req.verb == Verb::kFaultMc
-                                           ? 1
-                                           : req.seed)
-                                .ir_hash;
+    meta.model_hash =
+        find_work_verb(req.verb)->shape == Shape::kSpecRun
+            ? spec_content_hash(req.spec_text)
+            : ctx.warm->loop(req.ts, req.t_end, loop_seed(req)).ir_hash;
     const std::size_t n = req.units();
     std::vector<std::string> keys(n), payloads(n);
     std::vector<std::size_t> misses;
@@ -500,7 +419,7 @@ void handle_request(ServerCtx& ctx, int cfd, const Fields& f) {
                  meta.redispatches, meta.ok ? "" : "ERROR ",
                  wall_s * 1e3);
   }
-  write_frame(cfd, reply.serialize());
+  write_reply(cfd, reply);
 }
 
 }  // namespace

@@ -356,6 +356,53 @@ TEST(ProtocolRequest, RejectsMalformedRequests) {
   EXPECT_EQ(v, Verb::kKillWorker);
 }
 
+TEST(ProtocolRequest, RejectsUnitCountsNoReplyFrameCanCarry) {
+  // A ~100-byte fault_mc frame asking for 1e9 trials used to pass and make
+  // the daemon value-initialise two units()-long string vectors (~64 GB).
+  Request r;
+  r.verb = Verb::kFaultMc;
+  r.trials = 1000000000;
+  Request d;
+  std::string err;
+  EXPECT_FALSE(Request::from_fields(r.to_fields(), d, err));
+  EXPECT_NE(err.find("reply frame"), std::string::npos) << err;
+  // Grids are bounded the same way, by rows x cols.
+  r.verb = Verb::kSweepTiming;
+  r.rows.assign(1000, 0.0);
+  r.cols.assign(1000, 0.0);
+  EXPECT_FALSE(Request::from_fields(r.to_fields(), d, err));
+  // A count that fits passes: 20k trials are well within one frame.
+  r.verb = Verb::kFaultMc;
+  r.trials = 20000;
+  EXPECT_TRUE(Request::from_fields(r.to_fields(), d, err)) << err;
+}
+
+TEST(ProtocolMeta, ReplyTooLargeToFrameBecomesAnErrorFrame) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ResponseMeta meta;
+  meta.ok = true;
+  meta.model_hash = "0x1234";
+  meta.cache_units = 7;
+  Fields reply;
+  meta_to_fields(meta, reply);
+  reply.set("units", std::string(kMaxFrameBytes, 'u'));
+  // The error frame is small, so it fits the pipe buffer unread.
+  ASSERT_TRUE(write_reply(fds[1], reply));
+  std::string in;
+  ASSERT_TRUE(read_frame(fds[0], in));
+  Fields got;
+  ASSERT_TRUE(Fields::parse(in, got));
+  const ResponseMeta m = meta_from_fields(got);
+  EXPECT_FALSE(m.ok);
+  EXPECT_NE(m.error.find("frame limit"), std::string::npos) << m.error;
+  EXPECT_EQ(m.model_hash, "0x1234");
+  EXPECT_EQ(m.cache_units, 7u);
+  EXPECT_EQ(got.get("units"), nullptr);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
 TEST(ProtocolMeta, RoundTrips) {
   ResponseMeta m;
   m.ok = true;

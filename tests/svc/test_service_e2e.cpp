@@ -142,7 +142,7 @@ TEST(ServiceE2E, ShardedSweepIsBitIdenticalToInProcessReference) {
   ASSERT_TRUE(client.connect(server.socket_path)) << client.last_error();
   std::vector<sweep::SweepCell> got;
   ResponseMeta meta;
-  ASSERT_TRUE(remote_sweep(client, req, got, meta)) << client.last_error();
+  ASSERT_TRUE(remote_cells(client, req, got, meta)) << client.last_error();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(same_bits(got[i].iae, want[i].iae)) << "cell " << i;
@@ -164,8 +164,8 @@ TEST(ServiceE2E, RepeatRequestIsServedEntirelyFromCache) {
   ASSERT_TRUE(client.connect(server.socket_path));
   std::vector<sweep::SweepCell> first, second;
   ResponseMeta m1, m2;
-  ASSERT_TRUE(remote_sweep(client, req, first, m1));
-  ASSERT_TRUE(remote_sweep(client, req, second, m2));
+  ASSERT_TRUE(remote_cells(client, req, first, m1));
+  ASSERT_TRUE(remote_cells(client, req, second, m2));
   EXPECT_EQ(m1.cache_hits, 0u);
   EXPECT_TRUE(m2.served_from_cache);
   EXPECT_EQ(m2.cache_hits, req.units());
@@ -266,7 +266,7 @@ TEST(ServiceE2E, CrashedWorkerIsSurvivedWithOneRedispatch) {
   const std::vector<sweep::SweepCell> want = reference_cells(req);
   std::vector<sweep::SweepCell> got;
   ResponseMeta meta;
-  ASSERT_TRUE(remote_sweep(client, req, got, meta)) << client.last_error();
+  ASSERT_TRUE(remote_cells(client, req, got, meta)) << client.last_error();
   EXPECT_GE(meta.redispatches, 1u) << "the crash must have been recovered";
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -278,7 +278,7 @@ TEST(ServiceE2E, CrashedWorkerIsSurvivedWithOneRedispatch) {
   // re-dispatch and is served from cache.
   std::vector<sweep::SweepCell> again;
   ResponseMeta m2;
-  ASSERT_TRUE(remote_sweep(client, req, again, m2));
+  ASSERT_TRUE(remote_cells(client, req, again, m2));
   EXPECT_EQ(m2.redispatches, 0u);
   EXPECT_TRUE(m2.served_from_cache);
   EXPECT_EQ(server.stop(), 0);
@@ -301,7 +301,7 @@ TEST(ServiceE2E, UnitErrorDoesNotLeakStaleRepliesIntoNextRequest) {
   bad.cols = {0.0, 0.1, 0.2, 0.3};
   std::vector<sweep::SweepCell> cells;
   ResponseMeta bmeta;
-  EXPECT_FALSE(remote_sweep(client, bad, cells, bmeta));
+  EXPECT_FALSE(remote_cells(client, bad, cells, bmeta));
   EXPECT_FALSE(client.last_error().empty());
 
   // The follow-up request must compute clean, bit-identical results on the
@@ -310,7 +310,7 @@ TEST(ServiceE2E, UnitErrorDoesNotLeakStaleRepliesIntoNextRequest) {
   const std::vector<sweep::SweepCell> want = reference_cells(good);
   std::vector<sweep::SweepCell> got;
   ResponseMeta meta;
-  ASSERT_TRUE(remote_sweep(client, good, got, meta)) << client.last_error();
+  ASSERT_TRUE(remote_cells(client, good, got, meta)) << client.last_error();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(same_bits(got[i].cost, want[i].cost)) << "cell " << i;
@@ -318,6 +318,49 @@ TEST(ServiceE2E, UnitErrorDoesNotLeakStaleRepliesIntoNextRequest) {
     EXPECT_TRUE(same_bits(got[i].act_jitter, want[i].act_jitter))
         << "cell " << i;
   }
+  EXPECT_EQ(server.stop(), 0);
+}
+
+TEST(ServiceE2E, HostileUnitCountIsRefusedAndTheDaemonKeepsServing) {
+  ServerHandle server;
+  server.start(/*workers=*/1);
+  Client client;
+  ASSERT_TRUE(client.connect(server.socket_path));
+  // Before the unit-count bound this small frame made the master allocate
+  // per-unit state for a billion trials.
+  Request hostile;
+  hostile.verb = Verb::kFaultMc;
+  hostile.trials = 1000000000;
+  sweep::FaultMonteCarloResult result;
+  ResponseMeta meta;
+  EXPECT_FALSE(remote_fault_mc(client, hostile, result, meta));
+  EXPECT_NE(client.last_error().find("reply frame"), std::string::npos)
+      << client.last_error();
+  std::vector<sweep::SweepCell> cells;
+  ASSERT_TRUE(remote_cells(client, small_timing_request(), cells, meta))
+      << client.last_error();
+  EXPECT_EQ(cells.size(), small_timing_request().units());
+  EXPECT_EQ(server.stop(), 0);
+}
+
+TEST(ServiceE2E, UndecodableReplyReportsItsReason) {
+  ServerHandle server;
+  server.start(/*workers=*/1);
+  Client client;
+  ASSERT_TRUE(client.connect(server.socket_path));
+  // The daemon answers a fault sweep with fault cells; decoding them as
+  // sweep cells fails, and the reason must reach last_error() (it used to
+  // stay empty, so the CLI printed a fallback with no reason).
+  Request req;
+  req.verb = Verb::kFaultSweep;
+  req.t_end = 0.2;
+  req.rows = {0.1};
+  req.cols = {0.0};
+  std::vector<sweep::SweepCell> cells;
+  ResponseMeta meta;
+  EXPECT_FALSE(remote_cells(client, req, cells, meta));
+  EXPECT_FALSE(client.last_error().empty());
+  EXPECT_TRUE(cells.empty());
   EXPECT_EQ(server.stop(), 0);
 }
 
@@ -345,7 +388,7 @@ TEST(ServiceE2E, StatsAndPingVerbs) {
 
   std::vector<sweep::SweepCell> cells;
   ResponseMeta sweep_meta;
-  ASSERT_TRUE(remote_sweep(client, small_timing_request(), cells, sweep_meta));
+  ASSERT_TRUE(remote_cells(client, small_timing_request(), cells, sweep_meta));
 
   Request stats;
   stats.verb = Verb::kStats;
