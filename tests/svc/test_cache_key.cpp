@@ -16,6 +16,7 @@
 #include "fault/fault_plan.hpp"
 #include "mathlib/rng.hpp"
 #include "svc/protocol.hpp"
+#include "svc/work_verb.hpp"
 
 namespace ecsim::svc {
 namespace {
@@ -215,6 +216,22 @@ TEST(CacheKeyProperty, SweepNetworkUnitsKeyOnLoadAndScenario) {
   timing.verb = Verb::kSweepTiming;
   EXPECT_NE(unit_key(timing, hash, 0).canonical(),
             unit_key(r, hash, 0).canonical());
+}
+
+TEST(CacheKeyProperty, FaultVerbsKeyTheLoopModelAtSeedOne) {
+  // --seed seeds the fault stream of the fault verbs; their loop model (the
+  // model-hash component of every key) stays the seed-1 loop, so fault
+  // grids share one model hash whatever their fault seed. The evaluated
+  // cells do not depend on it, so only this rule pins it.
+  for (const Verb verb : {Verb::kSweepTiming, Verb::kSweepArch,
+                          Verb::kSweepNetwork, Verb::kFaultSweep,
+                          Verb::kFaultMc, Verb::kVmMc}) {
+    Request r;
+    r.verb = verb;
+    r.seed = 42;
+    const bool faults = verb == Verb::kFaultSweep || verb == Verb::kFaultMc;
+    EXPECT_EQ(loop_seed(r), faults ? 1u : 42u) << to_string(verb);
+  }
 }
 
 }  // namespace
