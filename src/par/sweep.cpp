@@ -1,6 +1,7 @@
 #include "par/sweep.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "control/c2d.hpp"
@@ -8,6 +9,7 @@
 #include "control/lqr.hpp"
 #include "par/cell_metrics.hpp"
 #include "plants/dc_servo.hpp"
+#include "translate/graph_of_delays.hpp"
 
 namespace ecsim::sweep {
 
@@ -73,9 +75,17 @@ std::vector<SweepCell> SweepRunner::run(const ArchitectureGrid& grid) const {
           aaa::ArchitectureGraph::bus_architecture(grid.processors, bandwidth);
       dist.wcet_ctrl *= scale;
       for (double& w : dist.ctrl_branch_wcets) w *= scale;
-      const translate::CosimOutcome out =
-          translate::run_distributed_loop(loop, dist);
-      SweepCell cell = measure(out);
+      SweepCell cell;
+      try {
+        cell = measure(translate::run_distributed_loop(loop, dist));
+      } catch (const translate::PeriodOverrun&) {
+        // Outside the feasible region: reported, not thrown, so the rest of
+        // the grid still computes. Nothing was simulated.
+        cell.iae = cell.ise = cell.itae = cell.cost = cell.overshoot_pct =
+            cell.act_latency_mean = cell.act_jitter =
+                std::numeric_limits<double>::quiet_NaN();
+        cell.stable = false;
+      }
       cell.bus_bandwidth = bandwidth;
       cell.wcet_scale = scale;
       return cell;

@@ -6,6 +6,7 @@
 // is row-major over the grid axes regardless of thread count.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -61,7 +62,9 @@ class SweepRunner {
   /// Row-major over latency_fracs × jitter_fracs, bit-identical for any
   /// thread count.
   std::vector<SweepCell> run(const TimingGrid& grid) const;
-  /// Row-major over bus_bandwidths × wcet_scales.
+  /// Row-major over bus_bandwidths × wcet_scales. A cell whose schedule
+  /// overruns the period is not simulated: it comes back with NaN metrics
+  /// and stable = false instead of throwing.
   std::vector<SweepCell> run(const ArchitectureGrid& grid) const;
 
  private:
@@ -75,7 +78,8 @@ std::string to_csv(const std::vector<SweepCell>& cells);
 /// Text heatmap of one metric over a 2-D grid: `cells` must be row-major
 /// rows × cols. Works for any cell type with a `bool stable` member
 /// (SweepCell, fault sweeps' FaultCell, ...); diverged cells print
-/// "unstable". Throws std::invalid_argument when cells != rows × cols.
+/// "unstable", unmeasured (NaN) ones "n/a". Throws std::invalid_argument
+/// when cells != rows × cols.
 template <typename Cell>
 std::string heatmap(const std::vector<Cell>& cells,
                     const std::vector<double>& rows,
@@ -104,7 +108,9 @@ std::string heatmap(const std::vector<Cell>& cells,
     out += buf;
     for (std::size_t c = 0; c < cols.size(); ++c) {
       const Cell& cell = cells[r * cols.size() + c];
-      if (cell.stable) {
+      if (std::isnan(cell.*metric)) {
+        std::snprintf(buf, sizeof buf, " %10s", "n/a");
+      } else if (cell.stable) {
         std::snprintf(buf, sizeof buf, " %10.4g", cell.*metric);
       } else {
         std::snprintf(buf, sizeof buf, " %10s", "unstable");

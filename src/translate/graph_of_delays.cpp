@@ -323,7 +323,7 @@ GraphOfDelays build_graph_of_delays(sim::Model& model,
         "build_graph_of_delays: algorithm graph needs a period");
   }
   if (sched.makespan() > period + 1e-12) {
-    throw std::runtime_error(
+    throw PeriodOverrun(
         "build_graph_of_delays: schedule makespan exceeds the period (the "
         "real-time constraint is violated; choose a faster architecture or a "
         "longer period)");

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -86,8 +87,13 @@ struct GraphOfDelays {
   std::vector<const blocks::EventFault*> fault_gates;
 };
 
-/// Build the graph of delays inside `model`. Throws std::runtime_error if
-/// the schedule does not fit within the algorithm period (the co-simulation
+/// The schedule does not fit within the algorithm period.
+struct PeriodOverrun : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Build the graph of delays inside `model`. Throws PeriodOverrun if the
+/// schedule does not fit within the algorithm period (the co-simulation
 /// presumes the real-time constraint makespan <= Ts holds, as SynDEx
 /// guarantees before generating code).
 GraphOfDelays build_graph_of_delays(sim::Model& model,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "aaa/adequation.hpp"
 #include "aaa/codegen.hpp"
@@ -89,6 +90,29 @@ TEST(Sweep, ArchitectureGridThroughFullFlow) {
   // Heavier controller on a slower bus cannot beat the light/fast corner.
   EXPECT_GE(cells[3].act_latency_mean, cells[0].act_latency_mean);
   for (const SweepCell& c : cells) EXPECT_GT(c.bus_bandwidth, 0.0);
+}
+
+TEST(Sweep, ArchitectureCellOverrunningThePeriodIsMarkedNotThrown) {
+  ArchitectureGrid grid;
+  grid.loop = servo_loop(0.01, 0.12);
+  grid.dist.bind_ctrl = "P1";  // controller across the bus
+  grid.bus_bandwidths = {1e5, 1e3};
+  grid.wcet_scales = {1.0, 4.0};
+  const auto cells = SweepRunner().run(grid);
+  ASSERT_EQ(cells.size(), 4u);
+  EXPECT_TRUE(cells[0].stable);
+  EXPECT_TRUE(std::isfinite(cells[0].cost));
+  // 1e3 bus units/s with a 4x controller WCET does not fit the 10 ms period.
+  const SweepCell& over = cells[3];
+  EXPECT_FALSE(over.stable);
+  EXPECT_TRUE(std::isnan(over.cost));
+  EXPECT_TRUE(std::isnan(over.act_latency_mean));
+  EXPECT_EQ(over.bus_bandwidth, 1e3);
+  EXPECT_EQ(over.wcet_scale, 4.0);
+  const std::string map =
+      heatmap(cells, grid.bus_bandwidths, grid.wcet_scales, "bus bw",
+              "WCET scale", &SweepCell::cost, "control cost");
+  EXPECT_NE(map.find("n/a"), std::string::npos);
 }
 
 TEST(Sweep, CsvAndHeatmapRender) {
