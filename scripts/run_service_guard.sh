@@ -5,7 +5,7 @@
 #      ledger schema-v3 suites on a Release build;
 #   2. survive a daemon smoke run driven through the REAL CLI: serve on a
 #      unix socket, answer 100 mixed `--connect=` requests covering every
-#      work verb without a fallback, serve `sweep network|timing` and
+#      work verb without a fallback, serve `sweep network|timing|arch` and
 #      `fault sweep` grids byte-identical to the in-process CSVs, stamp every
 #      served request into the ledger with its cache disposition, and drain
 #      to exit code 0 on SIGTERM;
@@ -76,7 +76,7 @@ done
 
 # Daemon fidelity (EXP-N1 and the grid verbs): daemon-served grids must be
 # byte-identical to the in-process serial ones.
-for cmd in "sweep network" "sweep timing" "fault sweep --seed=3"; do
+for cmd in "sweep network" "sweep timing" "sweep arch" "fault sweep --seed=3"; do
   name="${cmd// /_}"
   # shellcheck disable=SC2086
   "${flow}" ${cmd} --threads=1 --csv-out="${build_dir}/${name}_local.csv" \

@@ -33,35 +33,18 @@ ResultKey unit_key(const Request& req, const std::string& model_hash,
   key.backend = req.backend;
   key.seed = unit_seed(req, unit);
   if (w.fault_hash != nullptr) key.fault_hash = w.fault_hash(req, unit);
-  std::string p = "v=";
-  p += w.name;
-  p += ";ts=";
-  p += hexfloat(req.ts);
-  p += ";te=";
-  p += hexfloat(req.t_end);
-  switch (w.shape) {
-    case Shape::kGrid:
-      p += ';';
-      p += w.row_label;
-      p += '=';
-      p += hexfloat(row_of(req, unit));
-      p += ';';
-      p += w.col_label;
-      p += '=';
-      p += hexfloat(col_of(req, unit));
-      break;
-    case Shape::kTrials:
-      p += ";loss=";
-      p += hexfloat(req.loss);
-      break;
-    case Shape::kSpecRun:
-      p += ";trials=";
-      p += std::to_string(req.trials);
-      p += ";iters=";
-      p += std::to_string(req.iterations);
-      break;
+  std::string& p = key.params;
+  p = std::string("v=") + to_string(req.verb) + ";ts=" + hexfloat(req.ts) +
+      ";te=" + hexfloat(req.t_end);
+  if (w.shape == Shape::kGrid) {
+    p += std::string(";") + w.row_label + "=" + hexfloat(row_of(req, unit)) +
+         ";" + w.col_label + "=" + hexfloat(col_of(req, unit));
+  } else if (w.shape == Shape::kTrials) {
+    p += ";loss=" + hexfloat(req.loss);
+  } else {
+    p += ";trials=" + std::to_string(req.trials) +
+         ";iters=" + std::to_string(req.iterations);
   }
-  key.params = std::move(p);
   return key;
 }
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -22,60 +23,64 @@ namespace ecsim::svc {
 
 namespace {
 
-bool write_all(int fd, const char* p, std::size_t n) {
+/// Move exactly `n` bytes through `io` (::read or ::write). False on a
+/// transport error, or on EOF mid-frame or before the prefix.
+template <class Io, class Byte>
+bool transfer_all(Io io, int fd, Byte* p, std::size_t n) {
   while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (w == 0) return false;
-    p += w;
-    n -= static_cast<std::size_t>(w);
+    const ssize_t k = io(fd, p, n);
+    if (k < 0 && errno == EINTR) continue;
+    if (k <= 0) return false;
+    p += k;
+    n -= static_cast<std::size_t>(k);
   }
   return true;
 }
 
-bool read_all(int fd, char* p, std::size_t n) {
-  while (n > 0) {
-    const ssize_t r = ::read(fd, p, n);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;  // EOF mid-frame or before the prefix
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
+/// Decimal u64 with nothing else in `s`; `v` is written only on success.
+bool parse_u64(const std::string& s, std::uint64_t& v) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(s.c_str(), &end, 10);
+  if (end != s.c_str() + s.size()) return false;
+  v = parsed;
   return true;
+}
+
+/// Split `s` on every `sep` (an empty string is one empty token).
+std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> toks;
+  std::size_t at = 0;
+  while (true) {
+    const std::size_t end = std::min(s.find(sep, at), s.size());
+    toks.push_back(s.substr(at, end - at));
+    if (end == s.size()) return toks;
+    at = end + 1;
+  }
 }
 
 }  // namespace
 
 bool write_frame(int fd, const std::string& payload) {
   if (payload.size() > kMaxFrameBytes) return false;
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  char prefix[4] = {static_cast<char>(len & 0xff),
-                    static_cast<char>((len >> 8) & 0xff),
-                    static_cast<char>((len >> 16) & 0xff),
-                    static_cast<char>((len >> 24) & 0xff)};
-  return write_all(fd, prefix, 4) &&
-         write_all(fd, payload.data(), payload.size());
+  char prefix[4];  // little-endian length
+  for (int i = 0; i < 4; ++i) {
+    prefix[i] = static_cast<char>(payload.size() >> (8 * i));
+  }
+  return transfer_all(::write, fd, prefix, 4) &&
+         transfer_all(::write, fd, payload.data(), payload.size());
 }
 
 bool read_frame(int fd, std::string& out) {
-  char prefix[4];
-  if (!read_all(fd, prefix, 4)) return false;
-  const std::uint32_t len =
-      static_cast<std::uint32_t>(static_cast<unsigned char>(prefix[0])) |
-      (static_cast<std::uint32_t>(static_cast<unsigned char>(prefix[1])) << 8) |
-      (static_cast<std::uint32_t>(static_cast<unsigned char>(prefix[2]))
-       << 16) |
-      (static_cast<std::uint32_t>(static_cast<unsigned char>(prefix[3]))
-       << 24);
+  unsigned char prefix[4];
+  if (!transfer_all(::read, fd, prefix, 4)) return false;
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
+  }
   if (len > kMaxFrameBytes) return false;
   out.resize(len);
-  return len == 0 || read_all(fd, out.data(), len);
+  return len == 0 || transfer_all(::read, fd, out.data(), len);
 }
 
 // ---- scalar helpers --------------------------------------------------------
@@ -146,12 +151,7 @@ const std::string* Fields::get(const std::string& key) const {
 
 bool Fields::get_u64(const std::string& key, std::uint64_t& v) const {
   const std::string* s = get(key);
-  if (s == nullptr || s->empty()) return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(s->c_str(), &end, 10);
-  if (end != s->c_str() + s->size()) return false;
-  v = parsed;
-  return true;
+  return s != nullptr && parse_u64(*s, v);
 }
 
 bool Fields::get_bits(const std::string& key, double& v) const {
@@ -164,17 +164,10 @@ bool Fields::get_list(const std::string& key, std::vector<double>& vs) const {
   if (s == nullptr) return false;
   vs.clear();
   if (s->empty()) return true;
-  std::size_t at = 0;
-  while (at <= s->size()) {
-    std::size_t comma = s->find(',', at);
-    if (comma == std::string::npos) comma = s->size();
-    const std::string tok = s->substr(at, comma - at);
+  for (const std::string& tok : split(*s, ',')) {
     char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
+    vs.push_back(std::strtod(tok.c_str(), &end));
     if (end != tok.c_str() + tok.size() || tok.empty()) return false;
-    vs.push_back(v);
-    at = comma + 1;
-    if (comma == s->size()) break;
   }
   return true;
 }
@@ -201,12 +194,8 @@ bool Fields::parse(const std::string& text, Fields& out) {
     const std::size_t nl = text.find('\n', sp + 1);
     if (nl == std::string::npos) return false;
     const std::string key = text.substr(at, sp - at);
-    char* end = nullptr;
-    const std::string len_str = text.substr(sp + 1, nl - sp - 1);
-    const unsigned long long len = std::strtoull(len_str.c_str(), &end, 10);
-    if (end != len_str.c_str() + len_str.size() || len_str.empty()) {
-      return false;
-    }
+    std::uint64_t len = 0;
+    if (!parse_u64(text.substr(sp + 1, nl - sp - 1), len)) return false;
     // Subtraction form: `len` is attacker-controlled, so `nl + 1 + len + 1`
     // can wrap. `nl < text.size()` here, so `avail` cannot underflow; the
     // value needs `len` bytes plus its trailing '\n'.
@@ -224,9 +213,12 @@ bool Fields::parse(const std::string& text, Fields& out) {
 
 namespace {
 
-constexpr std::pair<Verb, const char*> kControlVerbs[] = {
-    {Verb::kPing, "ping"}, {Verb::kStats, "stats"},
-    {Verb::kKillWorker, "kill_worker"}};
+/// Wire names, in Verb order.
+constexpr const char* kVerbNames[] = {
+    "sweep_timing", "sweep_arch", "sweep_network", "fault_sweep", "fault_mc",
+    "vm_mc",        "ping",       "stats",         "kill_worker"};
+static_assert(std::size(kVerbNames) ==
+              static_cast<std::size_t>(Verb::kKillWorker) + 1);
 
 /// Fewest reply bytes one unit can take: its "<len>\n<payload>\n" blob
 /// around the shortest payload, a value-initialised one (doubles always take
@@ -243,26 +235,36 @@ std::size_t min_unit_reply_bytes() {
   return n;
 }
 
+/// The parameters a shape carries beyond the common ones, in wire order —
+/// the one description the request codec writes and reads. A list, text or
+/// count that ends up empty or zero is refused; an absent double or count
+/// keeps its Request default.
+template <class R, class Visit>
+void shape_params(Shape shape, R& r, Visit&& visit) {
+  if (shape == Shape::kGrid) {
+    visit("rows", r.rows);
+    visit("cols", r.cols);
+    return;
+  }
+  if (shape == Shape::kTrials) visit("loss", r.loss);
+  visit("trials", r.trials);
+  if (shape == Shape::kSpecRun) {
+    visit("iterations", r.iterations);
+    visit("spec_text", r.spec_text);
+  }
+}
+
 }  // namespace
 
 const char* to_string(Verb v) {
-  if (const WorkVerb* w = find_work_verb(v)) return w->name;
-  for (const auto& [verb, name] : kControlVerbs) {
-    if (verb == v) return name;
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(v);
+  return i < std::size(kVerbNames) ? kVerbNames[i] : "?";
 }
 
 bool parse_verb(const std::string& s, Verb& out) {
-  for (const WorkVerb& w : work_verbs()) {
-    if (s == w.name) {
-      out = w.verb;
-      return true;
-    }
-  }
-  for (const auto& [verb, name] : kControlVerbs) {
-    if (s == name) {
-      out = verb;
+  for (std::size_t i = 0; i < std::size(kVerbNames); ++i) {
+    if (s == kVerbNames[i]) {
+      out = static_cast<Verb>(i);
       return true;
     }
   }
@@ -280,26 +282,24 @@ Fields Request::to_fields() const {
   f.set_u64("seed", seed);
   const WorkVerb* w = find_work_verb(verb);
   if (w == nullptr) return f;
-  switch (w->shape) {
-    case Shape::kGrid:
-      f.set_list("rows", rows);
-      f.set_list("cols", cols);
-      break;
-    case Shape::kTrials:
-      f.set("loss", hexfloat(loss));
-      f.set_u64("trials", trials);
-      break;
-    case Shape::kSpecRun:
-      f.set_u64("trials", trials);
-      f.set_u64("iterations", iterations);
-      f.set("spec_text", spec_text);
-      break;
-  }
+  shape_params(w->shape, *this, [&](const char* key, const auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, std::vector<double>>) {
+      f.set_list(key, v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      f.set(key, hexfloat(v));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      f.set(key, v);
+    } else {
+      f.set_u64(key, v);
+    }
+  });
   return f;
 }
 
 bool Request::from_fields(const Fields& f, Request& out, std::string& err) {
   Request r;
+  err.clear();
   const std::string* verb_str = f.get("verb");
   if (verb_str == nullptr || !parse_verb(*verb_str, r.verb)) {
     err = "missing or unknown verb";
@@ -320,58 +320,44 @@ bool Request::from_fields(const Fields& f, Request& out, std::string& err) {
   }
   f.get_u64("seed", r.seed);
   if (const WorkVerb* w = find_work_verb(r.verb)) {
-    const std::string name = w->name;
-    if (w->shape == Shape::kGrid) {
-      if (!f.get_list("rows", r.rows) || !f.get_list("cols", r.cols) ||
-          r.rows.empty() || r.cols.empty()) {
-        err = name + " needs non-empty rows and cols";
-        return false;
+    const std::string name = to_string(r.verb);
+    shape_params(w->shape, r, [&](const char* key, auto& v) {
+      using T = std::decay_t<decltype(v)>;
+      bool missing = false;
+      if constexpr (std::is_same_v<T, std::vector<double>>) {
+        missing = !f.get_list(key, v) || v.empty();
+      } else if constexpr (std::is_same_v<T, double>) {
+        if ((s = f.get(key)) != nullptr) v = std::strtod(s->c_str(), &end);
+      } else if constexpr (std::is_same_v<T, std::string>) {
+        if ((s = f.get(key)) != nullptr) v = *s;
+        missing = v.empty();
+      } else {
+        std::uint64_t u = v;
+        f.get_u64(key, u);
+        v = static_cast<T>(u);
+        missing = v == 0;
       }
-    } else if (!f.get_u64("trials", r.trials) || r.trials == 0) {
-      err = name + " needs trials > 0";
-      return false;
-    }
-    if (w->shape == Shape::kTrials && (s = f.get("loss")) != nullptr) {
-      r.loss = std::strtod(s->c_str(), &end);
-    }
-    if (w->shape == Shape::kSpecRun) {
-      f.get_u64("iterations", r.iterations);
-      const std::string* spec = f.get("spec_text");
-      if (spec == nullptr || spec->empty()) {
-        err = name + " needs spec_text";
-        return false;
-      }
-      r.spec_text = *spec;
-    }
-    if (const char* bad = w->check != nullptr ? w->check(r) : nullptr) {
-      err = bad;
-      return false;
-    }
+      if (missing && err.empty()) err = name + " needs " + key;
+    });
+    const char* bad = w->check != nullptr ? w->check(r) : nullptr;
+    if (err.empty() && bad != nullptr) err = bad;
     // A small hostile request must not make the daemon allocate per-unit
     // state for more units than one reply frame could ever carry.
-    if (r.units() > kMaxFrameBytes / min_unit_reply_bytes()) {
+    if (err.empty() && r.units() > kMaxFrameBytes / min_unit_reply_bytes()) {
       err = name + " request of " + std::to_string(r.units()) +
             " units cannot fit one reply frame";
-      return false;
     }
+    if (!err.empty()) return false;
   }
   out = std::move(r);
-  err.clear();
   return true;
 }
 
 std::size_t Request::units() const {
   const WorkVerb* w = find_work_verb(verb);
   if (w == nullptr) return 0;
-  switch (w->shape) {
-    case Shape::kGrid:
-      return rows.size() * cols.size();
-    case Shape::kTrials:
-      return trials;
-    case Shape::kSpecRun:
-      return 1;
-  }
-  return 0;
+  if (w->shape == Shape::kGrid) return rows.size() * cols.size();
+  return w->shape == Shape::kTrials ? trials : 1;
 }
 
 // ---- responses -------------------------------------------------------------
@@ -433,25 +419,23 @@ bool decode_blob_list(const std::string& text,
                       std::vector<std::string>& blobs) {
   blobs.clear();
   std::size_t at = 0;
-  const auto read_count = [&](unsigned long long& n) {
+  const auto read_count = [&](std::uint64_t& n) {
     const std::size_t nl = text.find('\n', at);
-    if (nl == std::string::npos) return false;
-    char* end = nullptr;
-    const std::string tok = text.substr(at, nl - at);
-    n = std::strtoull(tok.c_str(), &end, 10);
-    if (tok.empty() || end != tok.c_str() + tok.size()) return false;
+    if (nl == std::string::npos || !parse_u64(text.substr(at, nl - at), n)) {
+      return false;
+    }
     at = nl + 1;
     return true;
   };
-  unsigned long long count = 0;
+  std::uint64_t count = 0;
   if (!read_count(count)) return false;
   // Every entry costs at least 3 bytes ("0\n" + '\n'), so a count beyond
   // the remaining bytes is corrupt; bounding before reserve() keeps a
   // hostile count from throwing length_error or allocating gigabytes.
   if (count > text.size() - at) return false;
   blobs.reserve(static_cast<std::size_t>(count));
-  for (unsigned long long i = 0; i < count; ++i) {
-    unsigned long long len = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t len = 0;
     if (!read_count(len)) return false;
     // Subtraction form avoids wrap-around on a hostile u64 length; the
     // payload needs `len` bytes plus its trailing '\n', and `at <= size`.
@@ -534,27 +518,6 @@ void put(std::string& out, T& v) {
   }
 }
 
-/// Tokenize a payload on single spaces.
-std::vector<std::string> split(const std::string& s) {
-  std::vector<std::string> toks;
-  std::size_t at = 0;
-  while (at <= s.size()) {
-    std::size_t sp = s.find(' ', at);
-    if (sp == std::string::npos) sp = s.size();
-    toks.push_back(s.substr(at, sp - at));
-    if (sp == s.size()) break;
-    at = sp + 1;
-  }
-  return toks;
-}
-
-bool tok_u64(const std::string& s, std::uint64_t& v) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  v = std::strtoull(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
-}
-
 struct Tokens {
   std::vector<std::string> toks;
   std::size_t at = 1;  // past the tag
@@ -571,7 +534,7 @@ bool take(Tokens& in, T& v) {
     return in.left() > 0 && double_of(in.toks[in.at++], v);
   } else if constexpr (std::is_integral_v<T>) {
     std::uint64_t u = 0;
-    if (in.left() == 0 || !tok_u64(in.toks[in.at++], u)) return false;
+    if (in.left() == 0 || !parse_u64(in.toks[in.at++], u)) return false;
     v = static_cast<T>(u);
     return true;
   } else if constexpr (std::is_same_v<T, std::string>) {
@@ -606,7 +569,7 @@ std::string encode_payload(char tag, T v) {
 
 template <class T>
 bool decode_payload(char tag, const std::string& s, T& v) {
-  Tokens in{split(s)};
+  Tokens in{split(s, ' ')};
   T out;
   if (in.toks[0] != std::string(1, tag) || !take(in, out) || in.left() != 0) {
     return false;

@@ -139,6 +139,13 @@ void retire_worker(ServerCtx& ctx, std::size_t idx) {
   w.pid = -1;
 }
 
+/// Retire a crashed or undrainable worker and fork its replacement, which
+/// also empties its pipe of stale replies the hard way.
+void replace_worker(ServerCtx& ctx, std::size_t idx) {
+  retire_worker(ctx, idx);
+  spawn_worker(ctx, idx);
+}
+
 /// One unit frame: the full request plus the unit index.
 std::string unit_frame(const Fields& req_fields, std::size_t unit) {
   Fields f = req_fields;
@@ -212,14 +219,12 @@ bool dispatch_units(ServerCtx& ctx, const Fields& req_fields,
       recovery.push_back(lane.queue[i]);
     }
     lane.failed = true;
-    retire_worker(ctx, lane.worker);
-    spawn_worker(ctx, lane.worker);  // replacement for subsequent requests
+    replace_worker(ctx, lane.worker);
   };
   // Failing the request while other lanes still have in-flight frames would
   // leave stale replies in their pipes, to be misread as answers for the
   // NEXT request's units. Consume every outstanding reply first; a worker
-  // that cannot be drained is retired and replaced, which empties its pipe
-  // the hard way.
+  // that cannot be drained is replaced.
   const auto drain_all = [&]() {
     for (Lane& lane : lanes) {
       if (lane.failed) continue;
@@ -227,8 +232,7 @@ bool dispatch_units(ServerCtx& ctx, const Fields& req_fields,
         std::string payload, unit_err;
         if (!read_reply(ctx.workers[lane.worker], payload, unit_err)) {
           lane.failed = true;
-          retire_worker(ctx, lane.worker);
-          spawn_worker(ctx, lane.worker);
+          replace_worker(ctx, lane.worker);
           break;
         }
         ++lane.received;
@@ -281,10 +285,8 @@ bool dispatch_units(ServerCtx& ctx, const Fields& req_fields,
     std::string payload, unit_err;
     if (!write_frame(target->fd, unit_frame(req_fields, unit)) ||
         !read_reply(*target, payload, unit_err)) {
-      const std::size_t idx =
-          static_cast<std::size_t>(target - ctx.workers.data());
-      retire_worker(ctx, idx);
-      spawn_worker(ctx, idx);
+      replace_worker(ctx,
+                     static_cast<std::size_t>(target - ctx.workers.data()));
       err = "re-dispatched unit failed twice";
       return false;
     }
@@ -313,56 +315,44 @@ void stamp_ledger(ServerCtx& ctx, const Request& req,
   ctx.ledger->append(r);
 }
 
+/// Crash the highest-index live worker, so a later request exercises the
+/// EOF-detection + re-dispatch path for real. False when none is live.
+bool kill_worker(ServerCtx& ctx) {
+  for (std::size_t i = ctx.workers.size(); i-- > 0;) {
+    if (!ctx.workers[i].alive) continue;
+    Fields die;
+    die.set("op", "die");
+    write_frame(ctx.workers[i].fd, die.serialize());
+    return true;
+  }
+  return false;
+}
+
 /// Handle one request frame; the reply frame goes out on `cfd`.
 void handle_request(ServerCtx& ctx, int cfd, const Fields& f) {
   Fields reply;
   ResponseMeta meta;
   Request req;
   std::string err;
-  if (!Request::from_fields(f, req, err)) {
-    meta.error = err;
+  const bool parsed = Request::from_fields(f, req, err);
+  if (!parsed || find_work_verb(req.verb) == nullptr) {  // control verbs
+    meta.ok = parsed && (req.verb != Verb::kKillWorker || kill_worker(ctx));
+    if (!meta.ok) meta.error = parsed ? "no live worker to kill" : err;
     meta_to_fields(meta, reply);
-    write_reply(cfd, reply);
-    return;
-  }
-  if (req.verb == Verb::kPing) {
-    meta.ok = true;
-    meta_to_fields(meta, reply);
-    write_reply(cfd, reply);
-    return;
-  }
-  if (req.verb == Verb::kStats) {
-    meta.ok = true;
-    meta_to_fields(meta, reply);
-    reply.set_u64("requests", ctx.requests);
-    reply.set_u64("hits", ctx.cache->hits());
-    reply.set_u64("misses", ctx.cache->misses());
-    reply.set_u64("evictions", ctx.cache->evictions());
-    reply.set_u64("bytes", ctx.cache->bytes());
-    reply.set_u64("entries", ctx.cache->size());
-    reply.set_u64("warm_hits", ctx.warm->hits());
-    reply.set_u64("warm_misses", ctx.warm->misses());
-    reply.set_u64("redispatched_units", ctx.redispatched_units);
-    std::uint64_t alive = 0;
-    for (const Worker& w : ctx.workers) alive += w.alive ? 1 : 0;
-    reply.set_u64("workers", alive);
-    write_reply(cfd, reply);
-    return;
-  }
-  if (req.verb == Verb::kKillWorker) {
-    // Crash the highest-index live worker: a later request exercises the
-    // EOF-detection + re-dispatch path for real.
-    meta.error = "no live worker to kill";
-    for (std::size_t i = ctx.workers.size(); i-- > 0;) {
-      if (!ctx.workers[i].alive) continue;
-      Fields die;
-      die.set("op", "die");
-      write_frame(ctx.workers[i].fd, die.serialize());
-      meta.ok = true;
-      meta.error.clear();
-      break;
+    if (meta.ok && req.verb == Verb::kStats) {
+      reply.set_u64("requests", ctx.requests);
+      reply.set_u64("hits", ctx.cache->hits());
+      reply.set_u64("misses", ctx.cache->misses());
+      reply.set_u64("evictions", ctx.cache->evictions());
+      reply.set_u64("bytes", ctx.cache->bytes());
+      reply.set_u64("entries", ctx.cache->size());
+      reply.set_u64("warm_hits", ctx.warm->hits());
+      reply.set_u64("warm_misses", ctx.warm->misses());
+      reply.set_u64("redispatched_units", ctx.redispatched_units);
+      std::uint64_t alive = 0;
+      for (const Worker& w : ctx.workers) alive += w.alive ? 1 : 0;
+      reply.set_u64("workers", alive);
     }
-    meta_to_fields(meta, reply);
     write_reply(cfd, reply);
     return;
   }
@@ -404,9 +394,8 @@ void handle_request(ServerCtx& ctx, int cfd, const Fields& f) {
   } catch (const std::exception& e) {
     meta.ok = false;
     meta.error = e.what();
-    Fields fail;
-    meta_to_fields(meta, fail);
-    reply = std::move(fail);
+    reply = Fields();
+    meta_to_fields(meta, reply);
   }
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)

@@ -29,58 +29,21 @@ translate::LoopSpec servo(const Request& req, WarmCache& warm) {
   return loop;
 }
 
-std::string timing_cell(const Request& req, std::size_t unit,
-                        WarmCache& warm) {
-  sweep::TimingGrid grid;
-  grid.loop = servo(req, warm);
-  grid.latency_fracs = {row_of(req, unit)};
-  grid.jitter_fracs = {col_of(req, unit)};
-  return encode_cell(sweep::SweepRunner(serial()).run(grid)[0]);
-}
-
-std::string arch_cell(const Request& req, std::size_t unit,
-                      WarmCache& warm) {
-  sweep::ArchitectureGrid grid;
-  grid.loop = servo(req, warm);
-  grid.dist.bind_ctrl = "P1";  // controller across the bus (CLI contract)
-  grid.bus_bandwidths = {row_of(req, unit)};
-  grid.wcet_scales = {col_of(req, unit)};
-  return encode_cell(sweep::SweepRunner(serial()).run(grid)[0]);
-}
-
-std::string network_cell(const Request& req, std::size_t unit,
-                         WarmCache& warm) {
-  // The canonical EXP-N1 grid shape (network_servo_grid) restricted to this
-  // unit's (bus load, scenario) coordinate; the warm loop replaces the
-  // grid's own so the IR hash and seed match the request.
-  sweep::NetworkGrid grid = sweep::network_servo_grid(req.ts, req.t_end);
-  grid.loop = servo(req, warm);
-  grid.bus_loads = {row_of(req, unit)};
-  grid.scenarios = {sweep::scenario_of_code(col_of(req, unit))};
-  return encode_cell(sweep::run_network_sweep(grid, serial())[0]);
-}
-
-std::string fault_cell(const Request& req, std::size_t unit,
-                       WarmCache& warm) {
-  sweep::FaultGrid grid;
-  grid.loop = servo(req, warm);
-  grid.dist.bind_ctrl = "P1";
-  grid.loss_rates = {row_of(req, unit)};
-  grid.delays = {col_of(req, unit)};
-  grid.fault_seed = req.seed;
-  return encode_cell(sweep::run_fault_sweep(grid, serial())[0]);
+/// Unit `unit` of a grid request: `Run` on its one-cell request.
+template <auto Run>
+std::string grid_cell(const Request& req, std::size_t unit, WarmCache& warm) {
+  Request one = req;
+  one.rows = {row_of(req, unit)};
+  one.cols = {col_of(req, unit)};
+  return encode_cell(Run(one, servo(req, warm), serial())[0]);
 }
 
 std::string fault_trial(const Request& req, std::size_t unit,
                         WarmCache& warm) {
-  sweep::FaultMonteCarloSpec spec;
-  spec.loop = servo(req, warm);
-  spec.dist.bind_ctrl = "P1";
-  spec.loss_rate = req.loss;
-  spec.trials = 1;
-  spec.base_seed = unit_seed(req, unit);
-  spec.batch_width = 1;
-  return encode_cell(sweep::run_fault_monte_carlo(spec, serial()).cells[0]);
+  Request one = req;
+  one.trials = 1;
+  one.seed = unit_seed(req, unit);
+  return encode_cell(run_fault_mc(one, servo(req, warm), serial(), 1).cells[0]);
 }
 
 std::string vm_run(const Request& req, std::size_t /*unit*/,
@@ -120,18 +83,18 @@ const char* check_scenario_codes(const Request& req) {
 }
 
 constexpr WorkVerb kWorkVerbs[] = {
-    {Verb::kSweepTiming, "sweep_timing", Shape::kGrid, "la", "j", nullptr,
-     nullptr, &timing_cell},
-    {Verb::kSweepArch, "sweep_arch", Shape::kGrid, "bw", "ws", nullptr,
-     nullptr, &arch_cell},
-    {Verb::kSweepNetwork, "sweep_network", Shape::kGrid, "load", "scen",
-     &check_scenario_codes, nullptr, &network_cell},
-    {Verb::kFaultSweep, "fault_sweep", Shape::kGrid, "loss", "delay", nullptr,
-     &fault_cell_hash, &fault_cell},
-    {Verb::kFaultMc, "fault_mc", Shape::kTrials, nullptr, nullptr, nullptr,
+    {Verb::kSweepTiming, Shape::kGrid, "la", "j", nullptr, nullptr,
+     &grid_cell<run_sweep>},
+    {Verb::kSweepArch, Shape::kGrid, "bw", "ws", nullptr, nullptr,
+     &grid_cell<run_sweep>},
+    {Verb::kSweepNetwork, Shape::kGrid, "load", "scen", &check_scenario_codes,
+     nullptr, &grid_cell<run_network>},
+    {Verb::kFaultSweep, Shape::kGrid, "loss", "delay", nullptr,
+     &fault_cell_hash, &grid_cell<run_fault_sweep>},
+    {Verb::kFaultMc, Shape::kTrials, nullptr, nullptr, nullptr,
      &fault_trial_hash, &fault_trial},
-    {Verb::kVmMc, "vm_mc", Shape::kSpecRun, nullptr, nullptr, nullptr,
-     nullptr, &vm_run},
+    {Verb::kVmMc, Shape::kSpecRun, nullptr, nullptr, nullptr, nullptr,
+     &vm_run},
 };
 
 }  // namespace
@@ -155,6 +118,64 @@ std::uint64_t unit_seed(const Request& req, std::size_t unit) {
   return w != nullptr && w->shape == Shape::kTrials
              ? req.seed + static_cast<std::uint64_t>(unit)
              : req.seed;
+}
+
+// ---- in-process runs --------------------------------------------------------
+
+std::vector<sweep::SweepCell> run_sweep(const Request& req,
+                                        const translate::LoopSpec& loop,
+                                        const par::BatchOptions& batch) {
+  if (req.verb == Verb::kSweepTiming) {
+    return sweep::SweepRunner(batch).run(
+        sweep::TimingGrid{loop, req.rows, req.cols});
+  }
+  sweep::ArchitectureGrid grid;
+  grid.loop = loop;
+  grid.dist.bind_ctrl = "P1";  // controller across the bus
+  grid.bus_bandwidths = req.rows;
+  grid.wcet_scales = req.cols;
+  return sweep::SweepRunner(batch).run(grid);
+}
+
+std::vector<sweep::NetworkCell> run_network(const Request& req,
+                                            const translate::LoopSpec& loop,
+                                            const par::BatchOptions& batch) {
+  // The canonical EXP-N1 grid shape (network_servo_grid) over the request's
+  // axes, closing `loop` instead of the grid's own.
+  sweep::NetworkGrid grid = sweep::network_servo_grid(req.ts, req.t_end);
+  grid.loop = loop;
+  grid.bus_loads = req.rows;
+  grid.scenarios.clear();
+  for (const double c : req.cols) {
+    grid.scenarios.push_back(sweep::scenario_of_code(c));
+  }
+  return sweep::run_network_sweep(grid, batch);
+}
+
+std::vector<sweep::FaultCell> run_fault_sweep(const Request& req,
+                                              const translate::LoopSpec& loop,
+                                              const par::BatchOptions& batch) {
+  sweep::FaultGrid grid;
+  grid.loop = loop;
+  grid.dist.bind_ctrl = "P1";  // controller across the bus: real traffic
+  grid.loss_rates = req.rows;
+  grid.delays = req.cols;
+  grid.fault_seed = req.seed;
+  return sweep::run_fault_sweep(grid, batch);
+}
+
+sweep::FaultMonteCarloResult run_fault_mc(const Request& req,
+                                          const translate::LoopSpec& loop,
+                                          const par::BatchOptions& batch,
+                                          std::size_t batch_width) {
+  sweep::FaultMonteCarloSpec spec;
+  spec.loop = loop;
+  spec.dist.bind_ctrl = "P1";
+  spec.loss_rate = req.loss;
+  spec.trials = req.trials;
+  spec.base_seed = req.seed;
+  spec.batch_width = batch_width;
+  return sweep::run_fault_monte_carlo(spec, batch);
 }
 
 }  // namespace ecsim::svc

@@ -1,15 +1,16 @@
 // The work verbs of the sweep service (DESIGN.md §3.9), one descriptor each.
 // The request codec (svc/protocol.cpp), the cache keys (svc/cache_key.cpp),
-// the daemon (svc/server.cpp) and the client read a verb's wire parameters,
-// unit count, key labels, seed rules, evaluation and result type from its
-// entry. Adding a verb is one entry in svc/work_verb.cpp, the field list of
-// its cell type (svc/protocol.cpp) and its evaluate function.
+// the daemon (svc/server.cpp) and the client read a verb's shape, key
+// labels, seed rule and evaluation from its entry. Adding a verb is its wire
+// name, one entry in svc/work_verb.cpp, the field list of its cell type
+// (svc/protocol.cpp) and its run function below.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "svc/protocol.hpp"
 
@@ -27,7 +28,6 @@ enum class Shape {
 
 struct WorkVerb {
   Verb verb;
-  const char* name;  ///< wire name
   Shape shape;
   const char* row_label;  ///< cache-key labels of the grid axes (kGrid)
   const char* col_label;
@@ -64,5 +64,27 @@ inline double row_of(const Request& req, std::size_t unit) {
 inline double col_of(const Request& req, std::size_t unit) {
   return req.cols[unit % req.cols.size()];
 }
+
+// ---- in-process runs of a whole request -------------------------------------
+// The CLI's local path runs these on its thread pool; a daemon unit runs the
+// same function serially on its one-cell (or one-trial) request, so both
+// compute every cell with the same code. `loop` is the servo loop the cells
+// close (seeded per loop_seed).
+
+/// kSweepTiming (latency × jitter) or kSweepArch (bus bandwidth × WCET).
+std::vector<sweep::SweepCell> run_sweep(const Request& req,
+                                        const translate::LoopSpec& loop,
+                                        const par::BatchOptions& batch);
+std::vector<sweep::NetworkCell> run_network(const Request& req,
+                                            const translate::LoopSpec& loop,
+                                            const par::BatchOptions& batch);
+std::vector<sweep::FaultCell> run_fault_sweep(const Request& req,
+                                              const translate::LoopSpec& loop,
+                                              const par::BatchOptions& batch);
+/// kFaultMc; `batch_width` trials per task (0 = the SIMD-preferred width).
+sweep::FaultMonteCarloResult run_fault_mc(const Request& req,
+                                          const translate::LoopSpec& loop,
+                                          const par::BatchOptions& batch,
+                                          std::size_t batch_width);
 
 }  // namespace ecsim::svc

@@ -356,6 +356,32 @@ TEST(ProtocolRequest, RejectsMalformedRequests) {
   EXPECT_EQ(v, Verb::kKillWorker);
 }
 
+TEST(ProtocolRequest, ShapeParametersAreRequiredOrKeepTheirDefaults) {
+  Request d;
+  std::string err;
+  Fields mc;
+  mc.set("verb", "fault_mc");
+  EXPECT_FALSE(Request::from_fields(mc, d, err));
+  EXPECT_EQ(err, "fault_mc needs trials");
+  mc.set_u64("trials", 3);
+  ASSERT_TRUE(Request::from_fields(mc, d, err)) << err;
+  EXPECT_EQ(d.loss, Request().loss);  // an absent double keeps its default
+  Fields vm;
+  vm.set("verb", "vm_mc");
+  vm.set_u64("trials", 2);
+  EXPECT_FALSE(Request::from_fields(vm, d, err));
+  EXPECT_EQ(err, "vm_mc needs spec_text");
+  vm.set("spec_text", "x");
+  ASSERT_TRUE(Request::from_fields(vm, d, err)) << err;
+  EXPECT_EQ(d.iterations, Request().iterations);
+  Fields grid;
+  grid.set("verb", "sweep_arch");
+  grid.set_list("rows", {1e5});
+  grid.set_list("cols", {});
+  EXPECT_FALSE(Request::from_fields(grid, d, err));
+  EXPECT_EQ(err, "sweep_arch needs cols");
+}
+
 TEST(ProtocolRequest, RejectsUnitCountsNoReplyFrameCanCarry) {
   // A ~100-byte fault_mc frame asking for 1e9 trials used to pass and make
   // the daemon value-initialise two units()-long string vectors (~64 GB).
