@@ -84,9 +84,9 @@ const char* check_scenario_codes(const Request& req) {
 
 constexpr WorkVerb kWorkVerbs[] = {
     {Verb::kSweepTiming, Shape::kGrid, "la", "j", nullptr, nullptr,
-     &grid_cell<run_sweep>},
+     &grid_cell<run_timing>},
     {Verb::kSweepArch, Shape::kGrid, "bw", "ws", nullptr, nullptr,
-     &grid_cell<run_sweep>},
+     &grid_cell<run_arch>},
     {Verb::kSweepNetwork, Shape::kGrid, "load", "scen", &check_scenario_codes,
      nullptr, &grid_cell<run_network>},
     {Verb::kFaultSweep, Shape::kGrid, "loss", "delay", nullptr,
@@ -122,13 +122,16 @@ std::uint64_t unit_seed(const Request& req, std::size_t unit) {
 
 // ---- in-process runs --------------------------------------------------------
 
-std::vector<sweep::SweepCell> run_sweep(const Request& req,
-                                        const translate::LoopSpec& loop,
-                                        const par::BatchOptions& batch) {
-  if (req.verb == Verb::kSweepTiming) {
-    return sweep::SweepRunner(batch).run(
-        sweep::TimingGrid{loop, req.rows, req.cols});
-  }
+std::vector<sweep::SweepCell> run_timing(const Request& req,
+                                         const translate::LoopSpec& loop,
+                                         const par::BatchOptions& batch) {
+  return sweep::SweepRunner(batch).run(
+      sweep::TimingGrid{loop, req.rows, req.cols});
+}
+
+std::vector<sweep::SweepCell> run_arch(const Request& req,
+                                       const translate::LoopSpec& loop,
+                                       const par::BatchOptions& batch) {
   sweep::ArchitectureGrid grid;
   grid.loop = loop;
   grid.dist.bind_ctrl = "P1";  // controller across the bus

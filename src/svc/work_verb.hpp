@@ -71,10 +71,14 @@ inline double col_of(const Request& req, std::size_t unit) {
 // compute every cell with the same code. `loop` is the servo loop the cells
 // close (seeded per loop_seed).
 
-/// kSweepTiming (latency × jitter) or kSweepArch (bus bandwidth × WCET).
-std::vector<sweep::SweepCell> run_sweep(const Request& req,
-                                        const translate::LoopSpec& loop,
-                                        const par::BatchOptions& batch);
+/// Latency × jitter cells.
+std::vector<sweep::SweepCell> run_timing(const Request& req,
+                                         const translate::LoopSpec& loop,
+                                         const par::BatchOptions& batch);
+/// Bus bandwidth × controller-WCET cells.
+std::vector<sweep::SweepCell> run_arch(const Request& req,
+                                       const translate::LoopSpec& loop,
+                                       const par::BatchOptions& batch);
 std::vector<sweep::NetworkCell> run_network(const Request& req,
                                             const translate::LoopSpec& loop,
                                             const par::BatchOptions& batch);
