@@ -1,6 +1,7 @@
 // Golden regression table for the hybrid-event loop. Every input — seeded
 // random hybrid diagrams (tests/properties/random_graphs.hpp), the servo
-// loop under RK4 and RKF45, and the 200-chain event workload — runs under
+// loop under RK4 and RKF45, the 200-chain event workload, and graphs of
+// delays of arbitrated buses (TDMA owner slots, CAN with blocking) — runs under
 // every driver of the loop: the interpreter (warm, reseeded between runs),
 // its full-refresh oracle, the native backend, and the batched lanes at
 // widths 1 and 8. Each run's sim::trace_digest must equal the committed
@@ -20,17 +21,22 @@
 #include <string>
 #include <vector>
 
+#include "aaa/adequation.hpp"
 #include "backend/backend.hpp"
+#include "blocks/discrete.hpp"
 #include "blocks/examples.hpp"
+#include "io/spec.hpp"
 #include "properties/random_graphs.hpp"
 #include "sim/simulator.hpp"
 #include "simd/batched_sim.hpp"
+#include "translate/graph_of_delays.hpp"
 
 namespace ecsim::sim {
 namespace {
 
 constexpr std::size_t kLanes = 8;
 constexpr std::size_t kRandomInputs = 60;
+constexpr std::size_t kGodInputs = 3;
 using Digests = std::array<std::uint64_t, kLanes>;
 
 struct Input {
@@ -39,7 +45,60 @@ struct Input {
   SimOptions base;
 };
 
+/// The graph of delays of `alg` scheduled on `arch`, with one EventCounter
+/// per operation on its completion so the trace records every instant.
+/// Execution times are drawn from [0.5 WCET, WCET], so the lanes differ.
+std::unique_ptr<Model> god_model(const aaa::AlgorithmGraph& alg,
+                                 const aaa::ArchitectureGraph& arch) {
+  auto m = std::make_unique<Model>();
+  const aaa::Schedule sched = aaa::adequate(alg, arch);
+  translate::GodOptions opts;
+  opts.bcet_fraction = 0.5;
+  const translate::GraphOfDelays god =
+      translate::build_graph_of_delays(*m, alg, arch, sched, opts);
+  for (aaa::OpId op = 0; op < alg.num_operations(); ++op) {
+    auto& n = m->add<blocks::EventCounter>("done_" + alg.op(op).name);
+    translate::wire_completion(*m, god, op, n, 0);
+  }
+  return m;
+}
+
+/// Graph-of-delays inputs: a random DAG on a TDMA bus with 2 owner slots,
+/// examples/specs/can_priority.spec, and a contended random DAG on a CAN
+/// bus with blocking. None has a conditional operation (EventSelect is
+/// opaque to the native backend).
+Input god_input(std::size_t g) {
+  Input in;
+  if (g == 1) {
+    in.name = "god_can_spec";
+    in.factory = [] {
+      const io::ParsedSpec spec =
+          io::load_spec(ECSIM_SPEC_DIR "/can_priority.spec");
+      return god_model(spec.algorithm, spec.architecture);
+    };
+    in.base.end_time = 0.2;
+    return in;
+  }
+  const bool can = g == 2;
+  in.name = can ? "god_can_random" : "god_tdma2";
+  in.factory = [can] {
+    math::Rng rng(can ? 7001 : 501);
+    const aaa::AlgorithmGraph alg = ecsim::testing::random_dag(rng, 8, 0.25);
+    aaa::ArchitectureGraph arch =
+        aaa::ArchitectureGraph::bus_architecture(3, 5e3, 1e-4);
+    if (can) {
+      arch.set_can(0, 5e-4);
+    } else {
+      arch.set_tdma(0, 5e-4, 2);
+    }
+    return god_model(alg, arch);
+  };
+  in.base.end_time = 1.0;
+  return in;
+}
+
 Input input(std::size_t i) {
+  if (i >= kRandomInputs + 3) return god_input(i - kRandomInputs - 3);
   Input in;
   if (i < kRandomInputs) {
     char name[16];
@@ -143,7 +202,8 @@ struct GoldenRow {
 };
 
 // Captured from the two-copy engine (simulator.cpp + native_runtime.hpp)
-// before the loop was shared.
+// before the loop was shared; the god_* rows on the shared loop, before the
+// bus-arbitration rules moved into aaa::Medium.
 constexpr GoldenRow kGolden[] = {
     {"random_00",
      {0x11fd85b85e2f5a0b, 0x11fd85b85e2f5a0b, 0x11fd85b85e2f5a0b,
@@ -397,6 +457,18 @@ constexpr GoldenRow kGolden[] = {
      {0x6d000e58700e9991, 0x6d000e58700e9991, 0x6d000e58700e9991,
       0x6d000e58700e9991, 0x6d000e58700e9991, 0x6d000e58700e9991,
       0x6d000e58700e9991, 0x6d000e58700e9991}},
+    {"god_tdma2",
+     {0x05818f7cb95217d9, 0x18ffde1ac31d10fd, 0x34de0cad1e2bced5,
+      0x95be53d1fa8351f1, 0x1e97382e4b139a7b, 0x9b63e8a270372ebc,
+      0x86c9254e355f5069, 0x2be7e528edfb1839}},
+    {"god_can_spec",
+     {0xbba5a9c7c11edd18, 0x68ef19c9e9cde832, 0xfbf3eba30631f0a7,
+      0x22f2d9c8a11c1d3c, 0x4dba21e95a15e073, 0x72c6464884bb579f,
+      0xaaa6998997676f65, 0x8ab9d8a4ae5d3729}},
+    {"god_can_random",
+     {0x74446df81dd62331, 0x87f63d7419558545, 0x26013f6346dd5c99,
+      0xcea206f724b36baf, 0x5d424be7eecda5c2, 0x1a4677eb096d3831,
+      0xe5605f9421b3b0ae, 0xbf99bb0d5c3649a6}},
 };
 
 class SimGolden : public ::testing::TestWithParam<std::size_t> {};
@@ -421,7 +493,8 @@ TEST_P(SimGolden, EveryDriverMatchesTable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Inputs, SimGolden,
-                         ::testing::Range<std::size_t>(0, kRandomInputs + 3),
+                         ::testing::Range<std::size_t>(
+                             0, kRandomInputs + 3 + kGodInputs),
                          [](const ::testing::TestParamInfo<std::size_t>& p) {
                            return input(p.param).name;
                          });
