@@ -11,7 +11,9 @@
 #      fails, so flag docs cannot silently rot;
 #   5. the network-medium vocabulary documented in docs/networks.md (spec
 #      directives, Arbitration enum values, sweep scenario names) still
-#      exists in the spec parser / architecture-graph / sweep headers.
+#      exists in the spec parser / architecture-graph / sweep headers, and
+#      every backticked `Name::member` there is declared in a header under
+#      src/.
 # Usage: scripts/check_docs.sh [path/to/ecsim_flow]
 # Falls back to parsing tools/ecsim_flow.cpp when the binary isn't built.
 set -euo pipefail
@@ -128,8 +130,29 @@ for scenario in can tdma; do
   fi
 done
 
+# Every backticked `Name::member` in the cookbook: some header under src/
+# defines the class, struct or enum `Name` and names `member` outside a
+# comment.
+api_refs=$(grep -oE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' docs/networks.md |
+  tr -d '`' | sort -u || true)
+for ref in $api_refs; do
+  type="${ref%%::*}"
+  member="${ref##*::}"
+  found=0
+  for header in $(grep -rlE "(class|struct|enum class|enum) ${type}([^A-Za-z0-9_]|$)" src --include='*.hpp' || true); do
+    if sed 's|//.*||' "$header" | grep -qE "(^|[^A-Za-z0-9_])${member}([^A-Za-z0-9_]|$)"; then
+      found=1
+      break
+    fi
+  done
+  if [[ $found -eq 0 ]]; then
+    echo "FAIL: docs/networks.md names \`${ref}\`, which no header under src/ declares"
+    fail=1
+  fi
+done
+
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (subcommands, flags, contract flags, option members and network vocabulary all exist)"
+echo "check_docs: OK (subcommands, flags, contract flags, option members, network vocabulary and API names all exist)"
