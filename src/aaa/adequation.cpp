@@ -101,15 +101,12 @@ Schedule adequate(const AlgorithmGraph& alg, const ArchitectureGraph& arch,
           const Medium& medium = arch.medium(hop.medium);
           const Time dur = medium.transfer_time(d.size);
           const std::size_t prio = alg.dep_priority(di);
-          // Non-preemptive CAN blocking: a just-started lower-priority (or
-          // background) frame can hold the bus for up to can_blocking after
-          // this message becomes ready — charged once, before gap fitting;
-          // interference from committed frames is the timeline's job.
-          const Time req = medium.arbitration == Arbitration::kCanPriority
-                               ? t + medium.can_blocking
-                               : t;
+          // The access charge (CAN blocking) is paid once, before gap
+          // fitting; interference from committed frames is the timeline's
+          // job.
           const Time start = medium_busy[hop.medium].fit(
-              req, dur, [&](Time x) { return medium.earliest_start(x, prio); });
+              t + medium.blocking(), dur,
+              [&](Time x) { return medium.earliest_start(x, prio); });
           const Time end = start + dur;
           if (commit) {
             sched.add_comm(ScheduledComm{di, hop, hop_index, start, end});

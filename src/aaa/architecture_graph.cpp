@@ -1,32 +1,9 @@
 #include "aaa/architecture_graph.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ecsim::aaa {
-
-Time Medium::earliest_start(Time ready) const {
-  if (arbitration != Arbitration::kTdma || tdma_slot <= 0.0) return ready;
-  // Next slot boundary at or after `ready` (boundary hits count, with a
-  // tolerance so k*slot computed two ways agrees).
-  const double k = std::ceil(ready / tdma_slot - 1e-9);
-  return std::max(0.0, k) * tdma_slot;
-}
-
-Time Medium::earliest_start(Time ready, std::size_t priority) const {
-  if (arbitration != Arbitration::kTdma || tdma_slot <= 0.0 ||
-      tdma_slots <= 1) {
-    return earliest_start(ready);
-  }
-  // Owner slot s = priority % n starts at t = k*n*slot + s*slot. Next such
-  // instant at or after `ready` (same boundary tolerance as above).
-  const double round = static_cast<double>(tdma_slots) * tdma_slot;
-  const double offset =
-      static_cast<double>(priority % tdma_slots) * tdma_slot;
-  const double k = std::ceil((ready - offset) / round - 1e-9);
-  return std::max(0.0, k) * round + offset;
-}
 
 void ArchitectureGraph::set_tdma(MediumId m, Time slot, std::size_t slots) {
   if (m >= media_.size()) throw std::out_of_range("set_tdma: bad medium");

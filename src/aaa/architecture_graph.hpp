@@ -3,6 +3,8 @@
 // duration on a medium = latency + size / bandwidth.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,10 @@ enum class Arbitration {
   kCanPriority,   // CAN: ID-based fixed-priority, non-preemptive frames
 };
 
+/// A communication medium and every bus-arbitration rule of the flow: the
+/// adequation, the executive VM, the graph of delays and the native TDMA
+/// gate all time transfers through these members, and nothing else does
+/// arbitration arithmetic.
 struct Medium {
   std::string name;
   double bandwidth = 1.0;  // data units per time unit
@@ -37,10 +43,7 @@ struct Medium {
   std::size_t tdma_slots = 1;
   /// Worst-case non-preemptive blocking (kCanPriority only): the longest
   /// time a ready frame can wait behind one already-transmitting lower
-  /// priority (or background) frame. Charged per frame by the adequation as
-  /// part of the arbitration-aware WCET AND by the exec VM before each
-  /// transmission (so WCET runs reproduce the static schedule); contention
-  /// among the modeled frames themselves is resolved exactly by both.
+  /// priority (or background) frame. Read it through blocking().
   Time can_blocking = 0.0;
   /// Fraction of the raw bandwidth consumed by interfering background
   /// traffic, in [0, 1). Effective bandwidth = bandwidth * (1 - load).
@@ -55,18 +58,38 @@ struct Medium {
     return latency + size / effective_bandwidth();
   }
 
-  /// Earliest instant >= ready at which a transfer may begin under this
-  /// medium's arbitration policy. TDMA slots live on the ABSOLUTE time grid
-  /// t = k * tdma_slot; for strictly periodic executions the algorithm
-  /// period should therefore be an integer multiple of the slot (times the
-  /// slot count when owner slots are in play).
-  Time earliest_start(Time ready) const;
+  /// Access charge a ready frame pays once, as a wait before it may compete
+  /// for the medium: can_blocking under kCanPriority, 0 otherwise.
+  /// Contention among the modeled frames themselves is not in it; the
+  /// adequation's timeline and the VM's arbitration resolve that exactly.
+  Time blocking() const {
+    return arbitration == Arbitration::kCanPriority ? can_blocking : 0.0;
+  }
 
-  /// Owner-slot-aware variant: under kTdma with tdma_slots > 1 the message
-  /// with the given priority may only start in its own slot of the round.
-  /// For every other arbitration (and for tdma_slots == 1) this is exactly
-  /// earliest_start(ready).
-  Time earliest_start(Time ready, std::size_t priority) const;
+  /// Earliest instant >= ready at which a transfer of a message with the
+  /// given priority may begin under this medium's arbitration: the owner
+  /// slot instant of priority % tdma_slots under kTdma, `ready` otherwise.
+  /// TDMA slots live on the ABSOLUTE time grid, so for strictly periodic
+  /// executions the algorithm period should be an integer multiple of
+  /// tdma_slot * tdma_slots.
+  Time earliest_start(Time ready, std::size_t priority) const {
+    if (arbitration != Arbitration::kTdma || tdma_slot <= 0.0) return ready;
+    const std::size_t slots = std::max<std::size_t>(tdma_slots, 1);
+    return slot_instant(ready, tdma_slot, slots, priority % slots);
+  }
+
+  /// First instant >= t of owner slot `owner` on a round of `slots` slots
+  /// of length `slot`: k * slots * slot + owner * slot for the least k >= 0.
+  /// An instant hit exactly counts (tolerance 1e-9 of a round, so k * round
+  /// computed two ways agrees). With slots == 1 this is the classic grid
+  /// k * slot. Header-only so a generated native module can call it.
+  static Time slot_instant(Time t, Time slot, std::size_t slots,
+                           std::size_t owner) {
+    const Time round = static_cast<Time>(slots) * slot;
+    const Time offset = static_cast<Time>(owner) * slot;
+    const double k = std::ceil((t - offset) / round - 1e-9);
+    return std::max(0.0, k) * round + offset;
+  }
 };
 
 class ArchitectureGraph {

@@ -51,37 +51,6 @@ const Route& RouteTable::route(ProcId p, ProcId q) const {
   return at(p, q);
 }
 
-Time RouteTable::transfer_time(const ArchitectureGraph& arch, ProcId p,
-                               ProcId q, double size) const {
-  Time total = 0.0;
-  for (const Hop& h : route(p, q)) {
-    total += arch.medium(h.medium).transfer_time(size);
-  }
-  return total;
-}
-
-Time RouteTable::worst_case_transfer_time(const ArchitectureGraph& arch,
-                                          ProcId p, ProcId q,
-                                          double size) const {
-  Time total = 0.0;
-  for (const Hop& h : route(p, q)) {
-    const Medium& m = arch.medium(h.medium);
-    total += m.transfer_time(size);
-    switch (m.arbitration) {
-      case Arbitration::kTdma:
-        // Worst case the message just missed its owner slot: a full round.
-        total += m.tdma_slot * static_cast<double>(m.tdma_slots);
-        break;
-      case Arbitration::kCanPriority:
-        total += m.can_blocking;
-        break;
-      case Arbitration::kImmediate:
-        break;
-    }
-  }
-  return total;
-}
-
 bool RouteTable::connected(ProcId p, ProcId q) const {
   if (p >= n_ || q >= n_) return false;
   return reachable_[p * n_ + q];

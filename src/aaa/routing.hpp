@@ -26,20 +26,6 @@ class RouteTable {
   /// architecture is disconnected between p and q.
   const Route& route(ProcId p, ProcId q) const;
 
-  /// Sum of per-hop transfer times for `size` data units along route(p, q).
-  Time transfer_time(const ArchitectureGraph& arch, ProcId p, ProcId q,
-                     double size) const;
-
-  /// Arbitration-aware worst case for one message of `size` units along
-  /// route(p, q): every hop adds its raw transfer time plus the worst
-  /// access delay its arbitration can impose — one full round of slot wait
-  /// under TDMA (tdma_slot * tdma_slots) and the non-preemptive blocking
-  /// term under CAN priority arbitration. Interference from other scheduled
-  /// messages is NOT included here; the adequation timeline accounts for it
-  /// exactly (busy intervals).
-  Time worst_case_transfer_time(const ArchitectureGraph& arch, ProcId p,
-                                ProcId q, double size) const;
-
   bool connected(ProcId p, ProcId q) const;
 
  private:

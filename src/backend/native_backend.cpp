@@ -65,14 +65,15 @@ std::string tool_fingerprint(const std::string& cxx, const std::string& flags,
   h = fnv1a(archive, h);
   // Key on size + mtime of everything a module's behaviour depends on beyond
   // its own source text — the runtime archive it links against and the
-  // engine/ABI headers it includes — so a rebuilt tree never resurrects a
-  // stale .so. (The generated text itself is salted into the key by the
-  // caller.)
+  // engine/ABI/medium headers it includes — so a rebuilt tree never
+  // resurrects a stale .so. (The generated text itself is salted into the
+  // key by the caller.)
   h = stamp_file(archive, h);
   const fs::path inc = ECSIM_NATIVE_INCLUDE_DIR;
   h = stamp_file(inc / "backend" / "native_runtime.hpp", h);
   h = stamp_file(inc / "backend" / "native_abi.hpp", h);
   h = stamp_file(inc / "sim" / "hybrid_loop.hpp", h);
+  h = stamp_file(inc / "aaa" / "architecture_graph.hpp", h);
   char buf[32];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h));

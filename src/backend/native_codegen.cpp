@@ -589,32 +589,15 @@ void Emitter::emit_block(std::size_t i) {
     return;
   }
   if (k == "TdmaGate") {
-    const std::string slot = lit(real_of(b, "slot"));
-    // Owner slots (slots/owner attrs, omitted at the single-slot default):
-    // the grid becomes round = slots*slot offset by owner*slot. Folding the
-    // products here keeps the single-slot emission byte-identical to the
-    // pre-owner-slot generator.
-    const double slot_v = real_of(b, "slot");
-    const long long slots =
-        b.find("slots") != nullptr ? int_of(b, "slots") : 1;
-    const long long owner =
-        b.find("owner") != nullptr ? int_of(b, "owner") : 0;
-    const std::string round =
-        slots > 1 ? lit(static_cast<double>(slots) * slot_v) : slot;
+    // slots/owner are omitted from the IR at the single-slot default.
+    const std::string slots =
+        b.find("slots") != nullptr ? std::to_string(int_of(b, "slots")) : "1";
+    const std::string owner =
+        b.find("owner") != nullptr ? std::to_string(int_of(b, "owner")) : "0";
     case_open(event_);
     event_ += "        const double now = e.time();\n";
-    if (slots > 1) {
-      const std::string offset = lit(static_cast<double>(owner) * slot_v);
-      event_ += "        const double kq = std::ceil((now - " + offset +
-                ") / " + round + " - 1e-9);\n";
-      event_ += "        const double boundary = std::max(0.0, kq) * " +
-                round + " + " + offset + ";\n";
-    } else {
-      event_ += "        const double kq = std::ceil(now / " + round +
-                " - 1e-9);\n";
-      event_ += "        const double boundary = std::max(0.0, kq) * " +
-                round + ";\n";
-    }
+    event_ += "        const double boundary = aa::Medium::slot_instant(now, " +
+              lit(real_of(b, "slot")) + ", " + slots + ", " + owner + ");\n";
     event_ += "        e.emit(" + B + ", 0, std::max(0.0, boundary - now));\n";
     case_close(event_);
     return;
@@ -702,6 +685,7 @@ std::string Emitter::generate(const std::string& hash_hex) {
 #include <stdexcept>
 #include <vector>
 
+#include "aaa/architecture_graph.hpp"
 #include "backend/native_abi.hpp"
 #include "backend/native_runtime.hpp"
 #include "blocks/duration_spec.hpp"
@@ -726,6 +710,7 @@ std::string Emitter::generate(const std::string& hash_hex) {
 
 namespace {
 
+namespace aa = ecsim::aaa;
 namespace bl = ecsim::blocks;
 namespace fa = ecsim::fault;
 namespace ma = ecsim::math;

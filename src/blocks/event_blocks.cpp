@@ -1,8 +1,10 @@
 #include "blocks/event_blocks.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
+
+#include "aaa/architecture_graph.hpp"
 
 namespace ecsim::blocks {
 
@@ -131,14 +133,9 @@ TdmaGate::TdmaGate(std::string name, Time slot, std::size_t slots,
 
 void TdmaGate::on_event(Context& ctx, std::size_t) {
   const Time now = ctx.time();
-  // Same boundary formula as aaa::Medium::earliest_start so the schedule,
-  // the executive VM and the co-simulation agree to rounding error. With
-  // slots_ == 1 round == slot_ and offset == 0: the classic any-boundary
-  // grid.
-  const Time round = static_cast<Time>(slots_) * slot_;
-  const Time offset = static_cast<Time>(owner_) * slot_;
-  const double k = std::ceil((now - offset) / round - 1e-9);
-  const Time boundary = std::max(0.0, k) * round + offset;
+  // The medium's own slot rule, so the schedule, the executive VM and the
+  // co-simulation agree to rounding error.
+  const Time boundary = aaa::Medium::slot_instant(now, slot_, slots_, owner_);
   ctx.emit(0, std::max(0.0, boundary - now));
 }
 

@@ -426,23 +426,28 @@ VmResult run_executives(const AlgorithmGraph& alg,
     return true;
   };
 
+  // Start instant of a frame of priority `prio` whose signal is known at
+  // `signal`, on `medium` free from `free`: the medium's next start instant
+  // once the medium is free and the frame has paid its access charge (the
+  // adequation's rules, so the WCET run reproduces the static schedule).
+  // transmit() commits it; advance_can ranks the CAN candidates by it.
+  const auto frame_start = [](const aaa::Medium& medium, Time free,
+                              Time signal, std::size_t prio) {
+    return medium.earliest_start(std::max(free, signal + medium.blocking()),
+                                 prio);
+  };
+
   // Occupy medium `mi` with comm `ci`, whose send signal is known at time
-  // `signal`: resolves the start instant under the medium's arbitration
-  // (owner-slot-aware for TDMA; under CAN every frame first waits out the
-  // worst-case non-preemptive blocking of unmodeled background traffic, the
-  // same charge the adequation timeline carries, so the WCET run reproduces
-  // the static schedule), applies fault effects, and records the transfer.
-  // Shared by the static-order path and the CAN arbitration path.
+  // `signal`: resolves the start instant (frame_start), applies fault
+  // effects, and records the transfer. Shared by the static-order path and
+  // the CAN arbitration path.
   auto transmit = [&](std::size_t mi, std::size_t ci, Time signal) {
     Cursor& cur = medium_cur[mi];
     const aaa::ScheduledComm& sc = sched.comms()[ci];
     const DataDep& dep = alg.dependencies()[sc.dep_index];
     const aaa::Medium& medium = arch.medium(sir.communicators[mi].medium);
-    if (medium.arbitration == aaa::Arbitration::kCanPriority) {
-      signal += medium.can_blocking;
-    }
-    const Time start = medium.earliest_start(
-        std::max(cur.t, signal), alg.dep_priority(sc.dep_index));
+    const Time start = frame_start(medium, cur.t, signal,
+                                   alg.dep_priority(sc.dep_index));
     Time end = start + medium.transfer_time(dep.size);
     fault::ArmedFaultPlan::CommEffect eff;
     if (faulting) eff = armed.comm_effect(ci, cur.iter);
@@ -546,12 +551,11 @@ VmResult run_executives(const AlgorithmGraph& alg,
         return true;
       }
     }
-    // Arbitration among the frames whose signal is known. Ranking uses the
-    // same effective start transmit() will resolve — including the
-    // worst-case background-blocking charge, a constant shift that never
-    // reorders candidates.
+    // Arbitration among the frames whose signal is known, ranked by the
+    // start transmit() will resolve. The access charge is a constant shift
+    // that never reorders candidates.
     if (c_can_examined != nullptr) c_can_examined->add(bus.known.size());
-    const Time blocking = arch.medium(prog.medium).can_blocking;
+    const aaa::Medium& medium = arch.medium(prog.medium);
     std::size_t best = kNone;
     std::size_t best_pos = kNone;
     std::size_t best_prio = 0;
@@ -560,8 +564,8 @@ VmResult run_executives(const AlgorithmGraph& alg,
     for (std::size_t j = 0; j < bus.known.size(); ++j) {
       const std::size_t ci = prog.comms[bus.known[j].slot];
       const Time signal = bus.known[j].signal;
-      const Time start = std::max(cur.t, signal + blocking);
       const std::size_t prio = alg.dep_priority(comms[ci].dep_index);
+      const Time start = frame_start(medium, cur.t, signal, prio);
       if (best == kNone || start < best_start - kArbEps ||
           (start <= best_start + kArbEps &&
            (prio < best_prio || (prio == best_prio && ci < best)))) {

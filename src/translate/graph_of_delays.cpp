@@ -146,20 +146,15 @@ GraphOfDelays build_event_chain(sim::Model& model,
     const std::string comm_name = alg.op(dep.from).name + ">" +
                                   alg.op(dep.to).name + "#" +
                                   std::to_string(sc.hop_index);
-    // Under CAN priority arbitration the frame may additionally wait behind
-    // one non-preemptible lower-priority (or background) frame for up to
-    // can_blocking: WCET replay (bcet_fraction >= 1) charges the full
-    // blocking — matching the adequation's arbitration-aware WCET exactly —
-    // while jitter studies draw the access delay uniformly from the busy
-    // window [dur, dur + blocking]. Occupancy is faithful either way: the
-    // blocking IS another frame holding the bus.
+    // The medium's access charge (CAN blocking): WCET replay
+    // (bcet_fraction >= 1) charges all of it, jitter studies draw the
+    // access delay uniformly from the busy window [dur, dur + blocking].
+    const aaa::Time blocking = hop_medium.blocking();
     blocks::DurationSpec comm_spec = blocks::constant_duration(dur);
-    if (hop_medium.arbitration == aaa::Arbitration::kCanPriority &&
-        hop_medium.can_blocking > 0.0) {
+    if (blocking > 0.0) {
       comm_spec = opts.bcet_fraction >= 1.0
-                      ? blocks::constant_duration(dur + hop_medium.can_blocking)
-                      : blocks::uniform_duration(
-                            dur, dur + hop_medium.can_blocking);
+                      ? blocks::constant_duration(dur + blocking)
+                      : blocks::uniform_duration(dur, dur + blocking);
     }
     auto& ed = model.add<blocks::EventDelay>(opts.prefix + "comm/" + comm_name,
                                              comm_spec);

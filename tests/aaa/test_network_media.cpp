@@ -3,19 +3,19 @@
 // validation, and how the adequation charges them.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "aaa/adequation.hpp"
-#include "aaa/routing.hpp"
 
 namespace ecsim::aaa {
 namespace {
 
 TEST(CanMedium, EarliestStartIsImmediate) {
   // CAN has no slot grid: a frame may start the moment the bus is free.
-  // The worst-case blocking charge lives in the adequation, not here.
+  // The worst-case blocking is the separate access charge, blocking().
   Medium m{"bus", 1e4, 0.0, Arbitration::kCanPriority};
   m.can_blocking = 2e-3;
-  EXPECT_DOUBLE_EQ(m.earliest_start(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(m.earliest_start(0.00037), 0.00037);
+  EXPECT_DOUBLE_EQ(m.earliest_start(0.0, 0), 0.0);
   EXPECT_DOUBLE_EQ(m.earliest_start(0.00037, /*priority=*/0), 0.00037);
   EXPECT_DOUBLE_EQ(m.earliest_start(0.00037, /*priority=*/7), 0.00037);
 }
@@ -75,11 +75,28 @@ TEST(TdmaOwnerSlots, EarliestStartHitsOwnerInstants) {
 }
 
 TEST(TdmaOwnerSlots, SingleSlotEqualsClassicGrid) {
+  // One slot per round: every priority may start on any boundary k * slot.
   Medium m{"bus", 1e5, 0.0, Arbitration::kTdma, 1e-3};
-  for (const double r : {0.0, 4e-4, 1e-3, 1.00001e-3, 2.7e-3}) {
-    EXPECT_DOUBLE_EQ(m.earliest_start(r, 0), m.earliest_start(r));
-    EXPECT_DOUBLE_EQ(m.earliest_start(r, 5), m.earliest_start(r));
+  const std::pair<double, double> ready_start[] = {
+      {0.0, 0.0}, {4e-4, 1e-3}, {1e-3, 1e-3}, {1.00001e-3, 2e-3},
+      {2.7e-3, 3e-3}};
+  for (const auto& [ready, start] : ready_start) {
+    EXPECT_DOUBLE_EQ(m.earliest_start(ready, 0), start);
+    EXPECT_DOUBLE_EQ(m.earliest_start(ready, 5), start);
   }
+}
+
+TEST(MediumBlocking, IsTheCanAccessChargeOnly) {
+  auto arch = ArchitectureGraph::bus_architecture(2, 1e5, 0.0);
+  EXPECT_DOUBLE_EQ(arch.medium(0).blocking(), 0.0);
+  arch.set_tdma(0, 5e-4, 2);
+  EXPECT_DOUBLE_EQ(arch.medium(0).blocking(), 0.0);
+  arch.set_can(0, 2e-3);
+  EXPECT_DOUBLE_EQ(arch.medium(0).blocking(), 2e-3);
+  // A blocking time left on a medium that is no longer CAN is not charged.
+  Medium m = arch.medium(0);
+  m.arbitration = Arbitration::kImmediate;
+  EXPECT_DOUBLE_EQ(m.blocking(), 0.0);
 }
 
 TEST(TdmaOwnerSlots, SetTdmaValidatesSlotCount) {
@@ -120,27 +137,6 @@ TEST(CanAdequation, ChargesBlockingPerFrame) {
   const double immediate = build(-1.0);
   EXPECT_NEAR(build(2e-3), immediate + 2 * 2e-3, 1e-12);
   EXPECT_NEAR(build(0.0), immediate, 1e-12);
-}
-
-TEST(WorstCaseTransfer, AccountsForMediumKind) {
-  const auto wc = [](const ArchitectureGraph& arch) {
-    return RouteTable(arch).worst_case_transfer_time(arch, 0, 1, 8.0);
-  };
-  auto arch = ArchitectureGraph::bus_architecture(2, 1e5, 0.0);
-  const double plain = wc(arch);
-  EXPECT_DOUBLE_EQ(plain, 8.0 / 1e5);
-
-  auto can = ArchitectureGraph::bus_architecture(2, 1e5, 0.0);
-  can.set_can(0, 2e-3);
-  EXPECT_DOUBLE_EQ(wc(can), plain + 2e-3);
-
-  auto tdma = ArchitectureGraph::bus_architecture(2, 1e5, 0.0);
-  tdma.set_tdma(0, 5e-4, 2);
-  EXPECT_DOUBLE_EQ(wc(tdma), plain + 2 * 5e-4);
-
-  auto loaded = ArchitectureGraph::bus_architecture(2, 1e5, 0.0);
-  loaded.set_background_load(0, 0.5);
-  EXPECT_DOUBLE_EQ(wc(loaded), 2.0 * plain);
 }
 
 }  // namespace

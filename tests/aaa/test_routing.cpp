@@ -19,7 +19,7 @@ TEST(RouteTable, SingleBusHop) {
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].from_proc, 0u);
   EXPECT_EQ(r[0].to_proc, 2u);
-  EXPECT_DOUBLE_EQ(rt.transfer_time(arch, 0, 2, 10.0), 0.1 + 1.0);
+  EXPECT_DOUBLE_EQ(arch.medium(r[0].medium).transfer_time(10.0), 0.1 + 1.0);
 }
 
 TEST(RouteTable, MultiHopThroughIntermediate) {
@@ -41,7 +41,9 @@ TEST(RouteTable, MultiHopThroughIntermediate) {
   EXPECT_EQ(r[0].to_proc, p1);
   EXPECT_EQ(r[1].medium, l12);
   EXPECT_EQ(r[1].to_proc, p2);
-  EXPECT_DOUBLE_EQ(rt.transfer_time(arch, p0, p2, 20.0), 2.0 + 1.0);
+  EXPECT_DOUBLE_EQ(arch.medium(r[0].medium).transfer_time(20.0) +
+                       arch.medium(r[1].medium).transfer_time(20.0),
+                   2.0 + 1.0);
 }
 
 TEST(RouteTable, PrefersFewerHops) {

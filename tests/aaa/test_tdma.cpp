@@ -16,12 +16,12 @@ namespace {
 
 TEST(Tdma, EarliestStartSnapsToGrid) {
   Medium m{"bus", 1e4, 0.0, Arbitration::kTdma, 0.001};
-  EXPECT_DOUBLE_EQ(m.earliest_start(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(m.earliest_start(0.0004), 0.001);
-  EXPECT_DOUBLE_EQ(m.earliest_start(0.001), 0.001);  // boundary hit passes
-  EXPECT_DOUBLE_EQ(m.earliest_start(0.00101), 0.002);
+  EXPECT_DOUBLE_EQ(m.earliest_start(0.0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(m.earliest_start(0.0004, 0), 0.001);
+  EXPECT_DOUBLE_EQ(m.earliest_start(0.001, 0), 0.001);  // boundary hit passes
+  EXPECT_DOUBLE_EQ(m.earliest_start(0.00101, 0), 0.002);
   Medium imm{"bus", 1e4, 0.0};
-  EXPECT_DOUBLE_EQ(imm.earliest_start(0.00037), 0.00037);
+  EXPECT_DOUBLE_EQ(imm.earliest_start(0.00037, 0), 0.00037);
 }
 
 TEST(Tdma, SetTdmaValidation) {
