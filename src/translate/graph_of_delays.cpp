@@ -141,23 +141,12 @@ GraphOfDelays build_event_chain(sim::Model& model,
   for (std::size_t ci = 0; ci < sched.comms().size(); ++ci) {
     const aaa::ScheduledComm& sc = sched.comms()[ci];
     const aaa::DataDep& dep = alg.dependencies()[sc.dep_index];
-    const aaa::Medium& hop_medium = arch.medium(sc.hop.medium);
-    const aaa::Time dur = hop_medium.transfer_time(dep.size);
+    const aaa::Time dur = arch.medium(sc.hop.medium).transfer_time(dep.size);
     const std::string comm_name = alg.op(dep.from).name + ">" +
                                   alg.op(dep.to).name + "#" +
                                   std::to_string(sc.hop_index);
-    // The medium's access charge (CAN blocking): WCET replay
-    // (bcet_fraction >= 1) charges all of it, jitter studies draw the
-    // access delay uniformly from the busy window [dur, dur + blocking].
-    const aaa::Time blocking = hop_medium.blocking();
-    blocks::DurationSpec comm_spec = blocks::constant_duration(dur);
-    if (blocking > 0.0) {
-      comm_spec = opts.bcet_fraction >= 1.0
-                      ? blocks::constant_duration(dur + blocking)
-                      : blocks::uniform_duration(dur, dur + blocking);
-    }
     auto& ed = model.add<blocks::EventDelay>(opts.prefix + "comm/" + comm_name,
-                                             comm_spec);
+                                             blocks::constant_duration(dur));
     comm_delay[ci] = &ed;
     comm_arrival[ci] = {&ed, ed.event_out()};
     if (armed != nullptr) {
@@ -245,8 +234,9 @@ GraphOfDelays build_event_chain(sim::Model& model,
   }
 
   // Pass 2b: wire communication activations — producer (or previous hop)
-  // ready + medium total order.
+  // ready + access charge + medium total order.
   for (aaa::MediumId m = 0; m < sched.num_media(); ++m) {
+    const aaa::Medium& medium = arch.medium(m);
     const sim::Block* prev_on_medium = nullptr;
     for (std::size_t ci : sched.comms_on(m)) {
       const aaa::ScheduledComm& sc = sched.comms()[ci];
@@ -274,10 +264,23 @@ GraphOfDelays build_event_chain(sim::Model& model,
           throw std::logic_error("graph_of_delays: missing previous hop");
         }
       }
+      // The medium's access charge (CAN blocking) is a wait on the frame's
+      // ready edge, before it queues in the medium order: the rule of the
+      // adequation and the VM. WCET replay charges all of it, jitter
+      // studies draw it uniformly from [0, blocking].
+      if (const aaa::Time blocking = medium.blocking(); blocking > 0.0) {
+        auto& wait = model.add<blocks::EventDelay>(
+            opts.prefix + "access/comm" + std::to_string(ci),
+            opts.bcet_fraction >= 1.0
+                ? blocks::constant_duration(blocking)
+                : blocks::uniform_duration(0.0, blocking));
+        model.connect_event(*ready, ready_out, wait, wait.event_in());
+        ready = &wait;
+        ready_out = wait.event_out();
+      }
       blocks::EventDelay* ed = comm_delay.at(ci);
       // Under TDMA arbitration the transfer start snaps to the slot grid:
       // insert a gate between readiness and the transfer delay.
-      const aaa::Medium& medium = arch.medium(m);
       const sim::Block* transfer_entry = ed;
       std::size_t transfer_entry_in = ed->event_in();
       if (medium.arbitration == aaa::Arbitration::kTdma) {

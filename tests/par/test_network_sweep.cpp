@@ -152,41 +152,41 @@ std::string row(const CellBits& b) {
 // EXP-N1 as committed: every cell of run_network_sweep(network_servo_grid()),
 // row-major over the 5 bus loads x {can, tdma}.
 constexpr CellBits kExpN1[] = {
-    {0x0000000000000000, 0x0000000000000000, 0x3f60385c67dfe556,
-     0x3cc8000000000000, 0x3f922b090562c9e0, 0x3f8829eedcd19a2a,
-     0x3f90432f8d82c432, 0x3f86ad74b3e8fa6c, 0x3fe44312cd03c91c,
+    {0x0000000000000000, 0x0000000000000000, 0x3f60385c67dfe4d6,
+     0x3cc4000000000000, 0x3f922b090562c9db, 0x3f8829eedcd19a2a,
+     0x3f90432f8d82c442, 0x3f86ad74b3e8fa91, 0x3fe44312cd03c8ec,
      1, 1},
     {0x0000000000000000, 0x3ff0000000000000, 0x3f62ad81adea893f,
      0x3c90000000000000, 0x3f93e34c83788897, 0x3f890826eec73cf6,
      0x3f9060f5018319a0, 0x3f86fafbebc05058, 0x3fe42d4b04f2f16c,
      1, 1},
-    {0x3fc999999999999a, 0x0000000000000000, 0x3f60624dd2f1ac2a,
-     0x3cc9000000000000, 0x3f9244ad5961f00b, 0x3f88377049fd5a3d,
-     0x3f90451cf2ebaf1d, 0x3f86b2911fd8d8b8, 0x3fe44183edb2cf66,
+    {0x3fc999999999999a, 0x0000000000000000, 0x3f60624dd2f1abaa,
+     0x3cc5000000000000, 0x3f9244ad5961ef8e, 0x3f88377049fd5a3d,
+     0x3f90451cf2ebaefa, 0x3f86b2911fd8d8a5, 0x3fe44183edb2cf7e,
      1, 1},
     {0x3fc999999999999a, 0x3ff0000000000000, 0x3f62d77318fc5013,
      0x3c88000000000000, 0x3f94052eee985cd3, 0x3f8918a847651b0e,
      0x3f906323090cdd31, 0x3f870039d5b76a91, 0x3fe42bf5016bbb96,
      1, 1},
-    {0x3fd999999999999a, 0x0000000000000000, 0x3f60a8358564a232,
-     0x3cc8000000000000, 0x3f927045f1bf3b6d, 0x3f884e52dbee6ae5,
-     0x3f9048567430f3f6, 0x3f86bb1a17d9c4c8, 0x3fe43ef41524a7fe,
+    {0x3fd999999999999a, 0x0000000000000000, 0x3f60a8358564a1b2,
+     0x3cc4000000000000, 0x3f927045f1bf3b5c, 0x3f884e52dbee6ae5,
+     0x3f9048567430f3de, 0x3f86bb1a17d9c4b5, 0x3fe43ef41524a81b,
      1, 1},
     {0x3fd999999999999a, 0x3ff0000000000000, 0x3f631d5acb6f461b,
      0x3c90000000000000, 0x3f943ee476dce3cf, 0x3f8934b57693a550,
      0x3f9066cd27cca598, 0x3f8708fc467f05c1, 0x3fe429c2d4692989,
      1, 1},
-    {0x3fe3333333333333, 0x0000000000000000, 0x3f613404ea4a8e35,
-     0x3cc8000000000000, 0x3f92cc8dab012ea4, 0x3f887d91fac261f9,
-     0x3f904ed632816340, 0x3f86cc3cbe9dde66, 0x3fe439f54fd4dc12,
+    {0x3fe3333333333333, 0x0000000000000000, 0x3f613404ea4a8db5,
+     0x3cc4000000000000, 0x3f92cc8dab012ea7, 0x3f887d91fac261f7,
+     0x3f904ed632816333, 0x3f86cc3cbe9dde68, 0x3fe439f54fd4dc14,
      1, 1},
     {0x3fe3333333333333, 0x3ff0000000000000, 0x3f63a92a3055321d,
      0x3c90000000000000, 0x3f94b7f1bd93d9c1, 0x3f896ef548253b79,
      0x3f906e4193f04ca0, 0x3f871a985f0da1cc, 0x3fe4257b6f4567ea,
      1, 1},
-    {0x3fe999999999999a, 0x0000000000000000, 0x3f62d77318fc5262,
-     0x3cc7000000000000, 0x3f94052eee985cc6, 0x3f8918a847651b0d,
-     0x3f906323090cdd6d, 0x3f870039d5b76a99, 0x3fe42bf5016bbb78,
+    {0x3fe999999999999a, 0x0000000000000000, 0x3f62d77318fc51e2,
+     0x3cc3000000000000, 0x3f94052eee985cd6, 0x3f8918a847651b09,
+     0x3f906323090cdd81, 0x3f870039d5b76a9f, 0x3fe42bf5016bbb76,
      1, 1},
     {0x3fe999999999999a, 0x3ff0000000000000, 0x3f654c985f06f64a,
      0x3c98000000000000, 0x3f9659876ad999c9, 0x3f8a317465d65324,

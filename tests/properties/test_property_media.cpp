@@ -138,15 +138,9 @@ TEST_P(GodMediaProperty, ReplaysScheduleUnderWcet) {
 INSTANTIATE_TEST_SUITE_P(Kinds, GodMediaProperty,
                          ::testing::Values(Kind::kImmediate, Kind::kTdma1,
                                            Kind::kTdma2, Kind::kTdma4,
-                                           Kind::kLoaded, Kind::kCan),
+                                           Kind::kLoaded, Kind::kCan,
+                                           Kind::kCanBlocking),
                          param_name);
-
-// The graph of delays charges CAN blocking inside the transfer, after the
-// frame has queued behind another; the adequation and the VM charge it as a
-// wait before the frame may start, so contended graphs finish late.
-TEST(GodMediaProperty, DISABLED_CanWithBlockingReplaysScheduleUnderWcet) {
-  check_graph_of_delays(Kind::kCanBlocking);
-}
 
 class VmMediaProperty : public ::testing::TestWithParam<Kind> {};
 

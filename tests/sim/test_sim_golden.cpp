@@ -203,7 +203,9 @@ struct GoldenRow {
 
 // Captured from the two-copy engine (simulator.cpp + native_runtime.hpp)
 // before the loop was shared; the god_* rows on the shared loop, before the
-// bus-arbitration rules moved into aaa::Medium.
+// bus-arbitration rules moved into aaa::Medium. god_can_spec and
+// god_can_random were recaptured when the graph of delays began charging
+// CAN blocking as a wait before the frame queues on the bus.
 constexpr GoldenRow kGolden[] = {
     {"random_00",
      {0x11fd85b85e2f5a0b, 0x11fd85b85e2f5a0b, 0x11fd85b85e2f5a0b,
@@ -462,13 +464,13 @@ constexpr GoldenRow kGolden[] = {
       0x95be53d1fa8351f1, 0x1e97382e4b139a7b, 0x9b63e8a270372ebc,
       0x86c9254e355f5069, 0x2be7e528edfb1839}},
     {"god_can_spec",
-     {0xbba5a9c7c11edd18, 0x68ef19c9e9cde832, 0xfbf3eba30631f0a7,
-      0x22f2d9c8a11c1d3c, 0x4dba21e95a15e073, 0x72c6464884bb579f,
-      0xaaa6998997676f65, 0x8ab9d8a4ae5d3729}},
+     {0x7375a65fd5d37885, 0x5e0d0a46e4922ee9, 0x50d9fcc649ddc160,
+      0x4194ea7d15ba055c, 0x41c8f846f68db1de, 0xc31bec0243feebf3,
+      0xb7b4aadf529670f6, 0x8518552f3ed547b6}},
     {"god_can_random",
-     {0x74446df81dd62331, 0x87f63d7419558545, 0x26013f6346dd5c99,
-      0xcea206f724b36baf, 0x5d424be7eecda5c2, 0x1a4677eb096d3831,
-      0xe5605f9421b3b0ae, 0xbf99bb0d5c3649a6}},
+     {0xe2b7535879b41e76, 0x6f0a1ae64dca258f, 0x953a3fbf8c12b718,
+      0xd8471e8c08d1df3f, 0xd71b6ce256600618, 0xda4a088b1cb9811b,
+      0x8bc96af2af59ccb5, 0xd1a60e5ff813347a}},
 };
 
 class SimGolden : public ::testing::TestWithParam<std::size_t> {};
